@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,6 +60,23 @@ def _expect(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _numeric(value, where: str, kind: type, ok, wanted: str):
+    """``value`` as a finite ``kind`` (int or float) for which ``ok`` holds.
+
+    Bools, strings, non-finite numbers and, for ints, non-integral numbers
+    exit 2 with a message anchored to ``where``; ``300.0`` counts as an int.
+    """
+    finite = type(value) in (int, float) and abs(value) <= sys.float_info.max  # False for NaN too
+    if finite and (kind is float or float(value).is_integer()) and ok(kind(value)):
+        return kind(value)
+    raise ConfigError(f"{where}: {wanted} required, got {value!r}")
+
+
+def _count(cfg: dict, name: str, default=None, low: int = 1, high: float = math.inf) -> int:
+    wanted = f"integer >= {low}" if high == math.inf else f"integer in [{low}, {high}]"
+    return _numeric(cfg.get(name, default), f"config.{name}", int, lambda v: low <= v <= high, wanted)
+
+
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -97,14 +115,12 @@ def _parse_scenario(task: str, cfg: dict, args) -> Scenario:
     if cfg_task is not None and cfg_task != task:
         raise ConfigError(f"config.task: config says {cfg_task!r} but the {task!r} command was invoked")
 
-    seed = cfg.get("seed", 0)
-    if "model" in cfg and isinstance(cfg["model"], dict) and "seed" in cfg["model"]:
-        seed = cfg["model"]["seed"]
-    if "seed" in cfg:
-        seed = cfg["seed"]
+    seed, where = cfg.get("seed", 0), "config.seed"
+    if "seed" not in cfg and isinstance(cfg.get("model"), dict) and "seed" in cfg["model"]:
+        seed, where = cfg["model"]["seed"], "config.model.seed"
     if args.seed is not None:
-        seed = args.seed
-    _expect(isinstance(seed, int) and seed >= 0, f"config.seed: nonnegative integer required, got {seed!r}")
+        seed, where = args.seed, "--seed"
+    seed = _numeric(seed, where, int, lambda v: v >= 0, "nonnegative integer")
 
     out = Path(args.out) if args.out else Path(cfg.get("out", "results"))
     scenario = Scenario(task=task, out=out, seed=seed, jobs=max(1, args.jobs))
@@ -120,24 +136,14 @@ def _parse_scenario(task: str, cfg: dict, args) -> Scenario:
             )
 
     if task in ("simulate", "estimate", "kmeans"):
-        n = cfg.get("n")
-        _expect(isinstance(n, int) and n >= 1, f"config.n: positive integer required, got {n!r}")
-        scenario.n = n
+        scenario.n = _count(cfg, "n")
 
     if task == "kmeans":
-        k = cfg.get("k")
-        _expect(isinstance(k, int) and k >= 1, f"config.k: positive integer required, got {k!r}")
-        _expect(k <= scenario.n, f"config.k: k={k} exceeds n={scenario.n}")
-        scenario.k = k
-        scenario.restarts = cfg.get("restarts", 10)
-        _expect(
-            isinstance(scenario.restarts, int) and scenario.restarts >= 1,
-            "config.restarts: positive integer required",
-        )
-        scenario.tol = float(cfg.get("tol", 1e-8))
-        _expect(scenario.tol > 0, "config.tol: must be positive")
-        scenario.max_iter = int(cfg.get("max_iter", 300))
-        _expect(scenario.max_iter >= 1, "config.max_iter: must be >= 1")
+        scenario.k = _count(cfg, "k")
+        _expect(scenario.k <= scenario.n, f"config.k: k={scenario.k} exceeds n={scenario.n}")
+        scenario.restarts = _count(cfg, "restarts", 10)
+        scenario.tol = _numeric(cfg.get("tol", 1e-8), "config.tol", float, lambda v: v > 0, "positive number")
+        scenario.max_iter = _count(cfg, "max_iter", 300)
 
     if task == "verify":
         checks = cfg.get("checks")
@@ -149,11 +155,7 @@ def _parse_scenario(task: str, cfg: dict, args) -> Scenario:
             unknown = [c for c in checks if c not in ALL_CHECKS]
             _expect(not unknown, f"config.checks: unknown names {unknown}; valid: {list(ALL_CHECKS)}")
         scenario.checks = checks
-        scenario.n = cfg.get("n", 200_000)
-        _expect(
-            isinstance(scenario.n, int) and 1 <= scenario.n <= 200_000,
-            "config.n: integer in [1, 200000] required for verify",
-        )
+        scenario.n = _count(cfg, "n", 200_000, high=200_000)
 
     if task == "report":
         inputs = cfg.get("inputs")

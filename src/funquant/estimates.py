@@ -9,12 +9,11 @@ are flagged so downstream span comparisons can treat them as a block.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientDataError, ShapeError
+from .errors import InsufficientDataError, ShapeError, UsageError
 from ._io import write_json
 
 
@@ -61,6 +60,8 @@ def estimate(samples: np.ndarray) -> CovarianceEstimate:
     n = samples.shape[0]
     if n < 2:
         raise InsufficientDataError(f"need at least 2 samples, got {n}")
+    if not np.isfinite(samples).all():
+        raise UsageError("samples must be finite; found NaN or infinite entries")
     mean_hat = samples.mean(axis=0)
     centered = samples - mean_hat
     cov_hat = (centered.T @ centered) / n
@@ -131,8 +132,3 @@ def write_estimate_json(path, est: CovarianceEstimate) -> None:
         "eigvecs": est.eigvecs.tolist(),
         "n": est.n,
     })
-
-
-def read_estimate_json(path) -> dict:
-    with open(path) as f:
-        return json.load(f)

@@ -74,12 +74,6 @@ class UnivariateLaw:
         """The law of rho * Y."""
         raise NotImplementedError
 
-    def cell_mean(self, a: float, b: float) -> float:
-        m0, m1, _ = self.cell_moments(a, b)
-        if m0 <= 0.0:
-            raise UsageError(f"cell ({a}, {b}] carries no mass")
-        return m1 / m0
-
     def expected_sq_distance(self, points) -> float:
         """E[min_j (Y - y_j)^2] for a finite point set.
 

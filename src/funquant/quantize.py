@@ -7,8 +7,10 @@ is the one-dimensional fixed-point solver driven by exact cell moments of a
 law, used both for the closed-form two-point solution along the leading
 eigendirection and for the scale-free quantization constant ``g``.
 
-Assignment ties go to the lowest index, so runs are reproducible; indices
-are 0-based throughout.
+One blocked kernel, ``_nearest``, computes every sample-to-point distance:
+ties go to the lowest index, so runs are reproducible, and memory is O(n k)
+plus one block of at most 8 MiB.  ``_domain_means`` computes every domain
+mean.  Indices are 0-based throughout.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,9 +75,38 @@ class LloydReport:
     mse_history: tuple[float, ...] = ()
 
 
-def _sq_distances(samples: np.ndarray, points: np.ndarray) -> np.ndarray:
-    diff = samples[:, None, :] - points[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+# Cap on the bytes of one (rows, k, d) difference block in ``_nearest``.
+_BLOCK_BYTES = 8 << 20
+
+
+def _nearest(samples: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-point labels (ties to the lowest index) and squared distances."""
+    n = samples.shape[0]
+    rows = max(1, _BLOCK_BYTES // (8 * max(1, points.size)))
+    labels = np.empty(n, dtype=np.intp)
+    d2min = np.empty(n)
+    for start in range(0, n, rows):
+        diff = samples[start:start + rows, None, :] - points[None, :, :]
+        d2 = np.einsum("nkd,nkd->nk", diff, diff)
+        labels[start:start + rows] = d2.argmin(axis=1)
+        d2min[start:start + rows] = d2.min(axis=1)
+    return labels, d2min
+
+
+def _domain_means(samples: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of each domain's samples (zero rows for empty domains) and counts."""
+    counts = np.bincount(labels, minlength=k)
+    sums = np.zeros((k, samples.shape[1]))
+    for j, column in enumerate(samples.T):
+        sums[:, j] = np.bincount(labels, weights=column, minlength=k)
+    return sums / np.maximum(counts, 1)[:, None], counts
+
+
+def _residual(samples: np.ndarray, labels: np.ndarray, points: np.ndarray) -> float:
+    means, counts = _domain_means(samples, labels, points.shape[0])
+    if not counts.all():
+        return float("inf")
+    return max(float(np.linalg.norm(m - p)) for m, p in zip(means, points))
 
 
 def min_distance(v, w: PointSet) -> tuple[float, int]:
@@ -86,23 +117,19 @@ def min_distance(v, w: PointSet) -> tuple[float, int]:
     v = np.asarray(v, dtype=float)
     if v.shape != (w.d,):
         raise ShapeError(f"vector must have shape ({w.d},), got {v.shape}")
-    d2 = _sq_distances(v[None, :], w.points)[0]
-    idx = int(d2.argmin())
-    return float(np.sqrt(d2[idx])), idx
+    labels, d2min = _nearest(_check_samples(v[None, :]), w.points)
+    return float(np.sqrt(d2min[0])), int(labels[0])
 
 
 def assign(samples: np.ndarray, w: PointSet) -> AttractionAssignment:
     """Domain-of-attraction labels for every sample row."""
-    samples = _check_samples(samples, w.d)
-    labels = _sq_distances(samples, w.points).argmin(axis=1)
-    counts = np.bincount(labels, minlength=w.k)
-    return AttractionAssignment(labels=labels, counts=counts)
+    labels, _ = _nearest(_check_samples(samples, w.d), w.points)
+    return AttractionAssignment(labels=labels, counts=np.bincount(labels, minlength=w.k))
 
 
 def empirical_mse(samples: np.ndarray, w: PointSet) -> float:
     """Average squared distance to the nearest point of the set."""
-    samples = _check_samples(samples, w.d)
-    return float(_sq_distances(samples, w.points).min(axis=1).mean())
+    return float(_nearest(_check_samples(samples, w.d), w.points)[1].mean())
 
 
 def self_consistency_residual(samples: np.ndarray, w: PointSet) -> float:
@@ -111,21 +138,12 @@ def self_consistency_residual(samples: np.ndarray, w: PointSet) -> float:
     An empty domain is reported as ``inf`` rather than silently skipped.
     """
     samples = _check_samples(samples, w.d)
-    labels = _sq_distances(samples, w.points).argmin(axis=1)
-    worst = 0.0
-    for j in range(w.k):
-        mask = labels == j
-        if not mask.any():
-            return float("inf")
-        worst = max(worst, float(np.linalg.norm(samples[mask].mean(axis=0) - w.points[j])))
-    return worst
+    return _residual(samples, _nearest(samples, w.points)[0], w.points)
 
 
 def quantizer_variable(samples: np.ndarray, w: PointSet) -> np.ndarray:
     """The nearest-point quantizer: row j maps to its assigned point."""
-    samples = _check_samples(samples, w.d)
-    labels = _sq_distances(samples, w.points).argmin(axis=1)
-    return w.points[labels]
+    return w.points[_nearest(_check_samples(samples, w.d), w.points)[0]]
 
 
 def _check_samples(samples, d: int | None = None) -> np.ndarray:
@@ -134,6 +152,8 @@ def _check_samples(samples, d: int | None = None) -> np.ndarray:
         raise ShapeError(f"samples must be a 2-d matrix, got shape {samples.shape}")
     if d is not None and samples.shape[1] != d:
         raise ShapeError(f"samples have dimension {samples.shape[1]}, point set has {d}")
+    if not np.isfinite(samples).all():
+        raise UsageError("samples must be finite; found NaN or infinite entries")
     return samples
 
 
@@ -157,36 +177,32 @@ def _kmeanspp_init(samples: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 
 def _lloyd_once(samples, k, rng, tol, max_iter, init_points):
-    n = samples.shape[0]
+    # The assignment made after the last update gives the final mse and residual.
     points = _kmeanspp_init(samples, k, rng) if init_points is None else np.array(init_points, dtype=float)
-    mse_history = []
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
+    labels, d2min = _nearest(samples, points)
+    mse_history, converged, iterations = [], False, 0
+    while iterations < max_iter and not converged:
         iterations += 1
-        d2 = _sq_distances(samples, points)
-        labels = d2.argmin(axis=1)
-        mse_history.append(float(d2[np.arange(n), labels].mean()))
-        new_points = points.copy()
-        empty = []
-        for j in range(k):
-            mask = labels == j
-            if mask.any():
-                new_points[j] = samples[mask].mean(axis=0)
-            else:
-                empty.append(j)
-        for j in empty:
+        mse_history.append(float(d2min.mean()))
+        means, counts = _domain_means(samples, labels, k)
+        new_points = np.where(counts[:, None] > 0, means, points)
+        for j in np.flatnonzero(counts == 0):
             # re-seed to the sample farthest from the current set; keeps k fixed
-            far = _sq_distances(samples, new_points).min(axis=1)
-            new_points[j] = samples[int(far.argmax())]
-        shift = float(np.linalg.norm(new_points - points, axis=1).max())
+            new_points[j] = samples[int(_nearest(samples, new_points)[1].argmax())]
+        converged = float(np.linalg.norm(new_points - points, axis=1).max()) < tol
         points = new_points
-        if shift < tol:
-            converged = True
-            break
-    final_mse = empirical_mse(samples, PointSet(points))
+        labels, d2min = _nearest(samples, points)
+    final_mse = float(d2min.mean())
     mse_history.append(final_mse)
-    return points, final_mse, iterations, converged, tuple(mse_history)
+    report = LloydReport(
+        iterations=iterations,
+        final_mse=final_mse,
+        self_consistency_residual=_residual(samples, labels, points),
+        restarts_used=1,
+        converged=converged,
+        mse_history=tuple(mse_history),
+    )
+    return points, report
 
 
 def lloyd(
@@ -235,30 +251,17 @@ def lloyd(
                 results = list(pool.map(run, streams))
         else:
             results = [run(ss) for ss in streams]
-        best = min(range(restarts), key=lambda r: (results[r][1], r))
-        points, final_mse, iterations, converged, history = results[best]
-        restarts_used = restarts
+        best = min(range(restarts), key=lambda r: (results[r][1].final_mse, r))
+        points, report = results[best]
+        report = replace(report, restarts_used=restarts)
     else:
         init_points = np.asarray(init, dtype=float)
         if init_points.shape != (k, samples.shape[1]):
             raise ShapeError(
                 f"initial points must have shape ({k}, {samples.shape[1]}), got {init_points.shape}"
             )
-        points, final_mse, iterations, converged, history = _lloyd_once(
-            samples, k, None, tol, max_iter, init_points
-        )
-        restarts_used = 1
-
-    pointset = PointSet(points)
-    report = LloydReport(
-        iterations=iterations,
-        final_mse=final_mse,
-        self_consistency_residual=self_consistency_residual(samples, pointset),
-        restarts_used=restarts_used,
-        converged=converged,
-        mse_history=history,
-    )
-    return pointset, report
+        points, report = _lloyd_once(samples, k, None, tol, max_iter, init_points)
+    return PointSet(points), report
 
 
 def univariate_principal_points(

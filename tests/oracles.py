@@ -91,6 +91,80 @@ def brute_force_principal_points(
     return best_x, best_val
 
 
+# Reference Lloyd: the distance and domain-mean code of funquant 0.1.0, one
+# full (n, k, d) difference tensor per pass and one boolean mask per domain.
+# The blocked kernel and bincount means of funquant.quantize must reproduce
+# it bit for bit for d >= 2 (for d = 1 numpy's mean sums a domain pairwise,
+# bincount sequentially, so the last bit may differ).
+
+
+def reference_sq_distances(samples, points):
+    diff = samples[:, None, :] - points[None, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+def reference_residual(samples, points):
+    labels = reference_sq_distances(samples, points).argmin(axis=1)
+    worst = 0.0
+    for j in range(points.shape[0]):
+        mask = labels == j
+        if not mask.any():
+            return float("inf")
+        worst = max(worst, float(np.linalg.norm(samples[mask].mean(axis=0) - points[j])))
+    return worst
+
+
+def reference_lloyd_once(samples, k, tol, max_iter, points):
+    """(points, final mse, iterations, converged, mse history) from one start."""
+    n = samples.shape[0]
+    points = np.array(points, dtype=float)
+    mse_history = []
+    converged = False
+    iterations = 0
+    for _ in range(max_iter):
+        iterations += 1
+        d2 = reference_sq_distances(samples, points)
+        labels = d2.argmin(axis=1)
+        mse_history.append(float(d2[np.arange(n), labels].mean()))
+        new_points = points.copy()
+        empty = []
+        for j in range(k):
+            mask = labels == j
+            if mask.any():
+                new_points[j] = samples[mask].mean(axis=0)
+            else:
+                empty.append(j)
+        for j in empty:
+            far = reference_sq_distances(samples, new_points).min(axis=1)
+            new_points[j] = samples[int(far.argmax())]
+        shift = float(np.linalg.norm(new_points - points, axis=1).max())
+        points = new_points
+        if shift < tol:
+            converged = True
+            break
+    final_mse = float(reference_sq_distances(samples, points).min(axis=1).mean())
+    mse_history.append(final_mse)
+    return points, final_mse, iterations, converged, tuple(mse_history)
+
+
+def reference_lloyd(samples, k, init=None, tol=1e-8, max_iter=300, restarts=10, seed=0):
+    """Best run as (points, final mse, iterations, converged, mse history, residual).
+
+    Restart streams and k-means++ starts are drawn exactly as ``lloyd`` draws
+    them; the starts come from the package, which this reference does not test.
+    """
+    from funquant.quantize import _kmeanspp_init
+
+    if init is not None:
+        starts = [init]
+    else:
+        streams = np.random.SeedSequence([seed, 1]).spawn(restarts)
+        starts = [_kmeanspp_init(samples, k, np.random.Generator(np.random.Philox(s))) for s in streams]
+    runs = [reference_lloyd_once(samples, k, tol, max_iter, start) for start in starts]
+    best = runs[min(range(len(runs)), key=lambda r: (runs[r][1], r))]
+    return best + (reference_residual(samples, best[0]),)
+
+
 def normal_pdf(y):
     return _norm.pdf(y)
 

@@ -264,6 +264,37 @@ class TestSchemaErrors:
         assert result.returncode == 2
         assert "model" in result.stderr
 
+    @pytest.mark.parametrize(
+        "task, field, where",
+        [
+            ("kmeans", '"tol": "abc"', "config.tol"),
+            ("kmeans", '"max_iter": "x"', "config.max_iter"),
+            ("kmeans", '"n": true', "config.n"),
+            ("kmeans", '"tol": 1e400', "config.tol"),
+            ("kmeans", '"max_iter": 2.7', "config.max_iter"),
+            ("kmeans", '"k": 2.5', "config.k"),
+            ("kmeans", '"restarts": false', "config.restarts"),
+            ("kmeans", '"seed": NaN', "config.seed"),
+            pytest.param("kmeans", '"tol": 1' + "0" * 400, "config.tol", id="kmeans-huge-int-tol"),
+            ("verify", '"n": 1.5', "config.n"),
+            ("verify", '"n": "200"', "config.n"),
+        ],
+    )
+    def test_typed_fields_exit_2_with_anchored_message(self, tmp_path, capsys, task, field, where):
+        # the field is raw JSON text, so later keys override the base ones
+        base = {"model": MODEL, "n": 50, "k": 2, "seed": 0} if task == "kmeans" else {"n": 50, "seed": 0}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base)[:-1] + ", " + field + "}")
+        code = main([task, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"error: {where}: " in capsys.readouterr().err
+
+    def test_integral_float_counts_as_integer(self, tmp_path):
+        cfg = write_config(
+            tmp_path, {"model": MODEL, "task": "kmeans", "n": 50, "k": 2.0, "max_iter": 5.0, "seed": 0}
+        )
+        assert main(["kmeans", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
 
 def test_singularity_maps_to_exit_3(tmp_path, monkeypatch):
     import funquant.cli as cli_module

@@ -29,6 +29,7 @@ from funquant import (
 )
 
 import oracles
+from funquant import quantize
 
 
 def gaussian_model(lam, mu=None):
@@ -361,3 +362,103 @@ class TestPointSet:
         first = path.read_bytes()
         write_pointset_json(path, PointSet(np.array(payload["points"])), payload["mse"], payload["residual"])
         assert path.read_bytes() == first
+
+
+def t5_model(lam):
+    lam = np.asarray(lam, dtype=float)
+    return EllipticalModel(mu=np.zeros(lam.size), lam=lam, mixture=ScaleMixture.student_t(5.0))
+
+
+# (draws, k, lloyd keyword arguments): every case has d >= 2.
+LLOYD_CASES = {
+    "d3-k8-capped": (lambda: sample(t5_model([4.0, 1.0, 0.25]), 3000, seed=21), 8,
+                     {"max_iter": 10, "restarts": 2, "seed": 1}),
+    "d64-k16": (lambda: sample(t5_model(1.0 / np.arange(1, 65) ** 2), 600, seed=22), 16,
+                {"max_iter": 8, "restarts": 2, "seed": 2}),
+    "isotropic-k3": (lambda: sample(gaussian_model([1.0, 1.0, 1.0]), 2000, seed=23), 3,
+                     {"tol": 1e-10, "restarts": 2, "seed": 3}),
+    "empty-domain-reseed": (lambda: sample(gaussian_model([1.0, 1.0]), 2000, seed=24), 3,
+                            {"init": np.array([[0.0, 0.0], [500.0, 500.0], [-500.0, 500.0]]), "tol": 1e-10}),
+    "k-equals-n": (lambda: sample(gaussian_model([1.0, 1.0]), 10, seed=25), 10, {"restarts": 3, "seed": 4}),
+    "jobs-4": (lambda: sample(gaussian_model([4.0, 1.0]), 3000, seed=26), 3,
+               {"restarts": 4, "seed": 5, "jobs": 4}),
+}
+
+
+class TestNearestKernel:
+    @pytest.mark.parametrize("block_bytes", [quantize._BLOCK_BYTES, 1000], ids=["default-block", "tiny-block"])
+    @pytest.mark.parametrize("case", sorted(LLOYD_CASES))
+    def test_lloyd_matches_reference_bit_for_bit(self, case, block_bytes, monkeypatch):
+        monkeypatch.setattr(quantize, "_BLOCK_BYTES", block_bytes)
+        make, k, kwargs = LLOYD_CASES[case]
+        draws = make()
+        points, report = lloyd(draws, k, **kwargs)
+        ref = {key: value for key, value in kwargs.items() if key != "jobs"}
+        ref_points, ref_mse, ref_iterations, ref_converged, ref_history, ref_residual = oracles.reference_lloyd(
+            draws, k, **ref
+        )
+        np.testing.assert_array_equal(points.points, ref_points)
+        assert report.final_mse == ref_mse
+        assert report.iterations == ref_iterations
+        assert report.converged == ref_converged
+        assert report.mse_history == ref_history
+        assert report.self_consistency_residual == ref_residual
+
+    @pytest.mark.parametrize("n", [1, 15, 16, 17])
+    def test_blocks_match_full_tensor(self, n, monkeypatch):
+        points = np.random.default_rng(30).standard_normal((5, 3))
+        monkeypatch.setattr(quantize, "_BLOCK_BYTES", 16 * 5 * 3 * 8)  # 16 rows per block
+        draws = np.random.default_rng(31).standard_normal((n, 3)) * 2.0
+        labels, d2min = quantize._nearest(draws, points)
+        d2 = oracles.reference_sq_distances(draws, points)
+        np.testing.assert_array_equal(labels, d2.argmin(axis=1))
+        np.testing.assert_array_equal(d2min, d2.min(axis=1))
+
+    def test_exact_lattice_ties_go_to_lowest_index(self, monkeypatch):
+        monkeypatch.setattr(quantize, "_BLOCK_BYTES", 7 * 5 * 2 * 8)  # 7 rows per block
+        grid = np.arange(-3, 4)
+        lattice = np.array([(x, y) for x in grid for y in grid])
+        # index 4 duplicates index 0 and must never win
+        points = np.array([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 0]])
+        exact = ((lattice[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+        expected = np.array([int(np.flatnonzero(row == row.min())[0]) for row in exact])
+        assert (exact == exact.min(axis=1, keepdims=True)).sum(axis=1).max() >= 3
+        a = assign(lattice.astype(float), PointSet(points.astype(float)))
+        np.testing.assert_array_equal(a.labels, expected)
+        assert a.counts[4] == 0
+
+    def test_assign_memory_stays_well_under_the_full_tensor(self):
+        import tracemalloc
+
+        draws = np.random.default_rng(32).standard_normal((100_000, 8))
+        w = PointSet(np.random.default_rng(33).standard_normal((32, 8)))
+        tracemalloc.start()
+        try:
+            assign(draws, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the full (n, k, d) float64 tensor would take 205 MB
+        assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: assign(x, PointSet(np.zeros((2, 2)))),
+        lambda x: empirical_mse(x, PointSet(np.zeros((2, 2)))),
+        lambda x: self_consistency_residual(x, PointSet(np.zeros((2, 2)))),
+        lambda x: quantizer_variable(x, PointSet(np.zeros((2, 2)))),
+        lambda x: min_distance(x[0], PointSet(np.zeros((2, 2)))),
+        lambda x: lloyd(x, 2, restarts=1),
+        estimate,
+    ],
+    ids=["assign", "empirical_mse", "self_consistency_residual", "quantizer_variable", "min_distance",
+         "lloyd", "estimate"],
+)
+def test_non_finite_samples_rejected(call, bad):
+    draws = np.random.default_rng(34).standard_normal((20, 2))
+    draws[0, 1] = bad
+    with pytest.raises(UsageError, match="finite"):
+        call(draws)
