@@ -26,7 +26,9 @@ from .basis import FOURIER, SYNTHETIC, Basis, make_basis, BasisSpec, write_curve
 from .checks import ALL_CHECKS, reference_suite
 from .errors import ConfigError, FunquantError, SingularityError
 from .estimates import estimate, write_estimate_json
-from .models import EllipticalModel, covariance_operator, model_from_dict, sample, write_samples_csv
+from .models import (
+    EllipticalModel, covariance_operator, is_finite_number, model_from_dict, sample, write_samples_csv,
+)
 from .quantize import closed_form_two_points, g_constant, lloyd, write_pointset_json
 from ._io import atomic_write, write_json
 
@@ -66,8 +68,7 @@ def _numeric(value, where: str, kind: type, ok, wanted: str):
     Bools, strings, non-finite numbers and, for ints, non-integral numbers
     exit 2 with a message anchored to ``where``; ``300.0`` counts as an int.
     """
-    finite = type(value) in (int, float) and abs(value) <= sys.float_info.max  # False for NaN too
-    if finite and (kind is float or float(value).is_integer()) and ok(kind(value)):
+    if is_finite_number(value) and (kind is float or float(value).is_integer()) and ok(kind(value)):
         return kind(value)
     raise ConfigError(f"{where}: {wanted} required, got {value!r}")
 
@@ -86,6 +87,8 @@ def _load_config(path: str) -> dict:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # e.g. an integer literal longer than Python's int-string limit
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     _expect(isinstance(payload, dict), f"{path}: top-level config must be an object")
     return payload
 

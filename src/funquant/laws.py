@@ -3,14 +3,18 @@
 A law exposes its density, CDF, quantile function, a sampler, and partial
 moments over an interval: ``cell_moments(a, b)`` returns
 (P(a < Y <= b), E[Y; a < Y <= b], E[Y^2; a < Y <= b]).  Cell moments are
-what the one-dimensional fixed-point solver needs: conditional means over
-cells and the expected squared distance to a finite point set.
+what the one-dimensional solver needs: conditional means over cells and the
+expected squared distance to a finite point set.  ``a`` and ``b`` may be
+arrays of bounds, so one call gives the moments of every cell.
 
 Gaussian and Student components use closed-form antiderivatives instead of
 numeric quadrature, so the solver's cell means carry no integration error.
-The laws of one-dimensional projections of the elliptical models in this
-package are always of one of these forms: a finite mixture of centered
-normals (gaussian / two-point scale mixtures) or a scaled Student t.
+Masses stay exact in both tails: a cell above the center takes its mass
+from the complementary CDF, so a far upper cell does not round to
+``1 - 1 = 0``.  The laws of one-dimensional projections of the elliptical
+models in this package are always of one of these forms: a finite mixture
+of centered normals (gaussian / two-point scale mixtures) or a scaled
+Student t.
 """
 
 from __future__ import annotations
@@ -26,25 +30,36 @@ from .errors import ConfigError, UsageError
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
-def _norm_pdf(z: float) -> float:
-    if not math.isfinite(z):
-        return 0.0
-    return math.exp(-0.5 * z * z) / _SQRT2PI
+def _finite_part(term, x: np.ndarray) -> np.ndarray:
+    """term(x) at finite x, and 0 at +-inf: the limit of every antiderivative term used here."""
+    finite = np.isfinite(x)
+    return np.where(finite, term(np.where(finite, x, 0.0)), 0.0)
 
 
-def _norm_cdf(z: float) -> float:
-    if z == -math.inf:
-        return 0.0
-    if z == math.inf:
-        return 1.0
-    return float(special.ndtr(z))
+def _norm_pdf(z: np.ndarray) -> np.ndarray:
+    return np.exp(-0.5 * z * z) / _SQRT2PI
 
 
-def _z_phi(z: float) -> float:
+def _z_phi(z: np.ndarray) -> np.ndarray:
     """z * standard normal pdf, with the correct 0 limit at +-inf."""
-    if not math.isfinite(z):
-        return 0.0
-    return z * _norm_pdf(z)
+    return _finite_part(lambda z: z * _norm_pdf(z), z)
+
+
+def _cell_mass(cdf, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """cdf(xb) - cdf(xa) for a law symmetric about 0.
+
+    A cell above 0 uses the upper tail, 1 - cdf(x) = cdf(-x), so its mass
+    keeps full relative precision however far out it lies.
+    """
+    flip = np.where(xa > 0, -1.0, 1.0)
+    return flip * (cdf(flip * xb) - cdf(flip * xa))
+
+
+def _moments(m0, m1, m2):
+    """Cell moments as Python floats for scalar bounds, as arrays otherwise."""
+    if np.ndim(m0) == 0:
+        return float(m0), float(m1), float(m2)
+    return m0, m1, m2
 
 
 class UnivariateLaw:
@@ -66,8 +81,16 @@ class UnivariateLaw:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    def cell_moments(self, a: float, b: float) -> tuple[float, float, float]:
-        """Mass, first and second moment of Y restricted to (a, b]."""
+    def cell_moments(self, a, b):
+        """Mass, first and second moment of Y restricted to (a, b].
+
+        ``a`` and ``b`` are scalars or broadcastable arrays of bounds (each
+        may be +-inf).  Scalar bounds give a tuple of three Python floats;
+        array bounds give three arrays, one entry per cell.  A cell whose
+        lower bound lies above the law's center takes its mass from the
+        upper tail, so the mass of a far upper cell is exact rather than a
+        difference of two CDF values near 1.
+        """
         raise NotImplementedError
 
     def scaled(self, rho: float) -> "UnivariateLaw":
@@ -78,33 +101,15 @@ class UnivariateLaw:
         """E[min_j (Y - y_j)^2] for a finite point set.
 
         Cells are delimited by midpoints of adjacent (sorted) points; the
-        integral over each cell expands into the stored partial moments.
+        integral over each cell expands into the stored partial moments,
+        all taken in one array call.
         """
         pts = np.sort(np.asarray(points, dtype=float))
         if pts.ndim != 1 or pts.size == 0:
             raise UsageError("need a non-empty 1-d point set")
-        bounds = np.concatenate(([-np.inf], (pts[1:] + pts[:-1]) / 2.0, [np.inf]))
-        total = 0.0
-        for y, a, b in zip(pts, bounds[:-1], bounds[1:]):
-            m0, m1, m2 = self.cell_moments(a, b)
-            total += m2 - 2.0 * y * m1 + y * y * m0
-        return total
-
-    def integration_interval(self) -> tuple[float, float]:
-        """A finite window carrying all but ~1e-10 of the law's mass."""
-        lo, hi = self.support
-        if math.isfinite(lo) and math.isfinite(hi):
-            return lo, hi
-        sd = math.sqrt(self.variance)
-        if not math.isfinite(lo):
-            lo = min(self.mean - 10.0 * sd, self.quantile(1e-10))
-        if not math.isfinite(hi):
-            hi = max(self.mean + 10.0 * sd, self.quantile(1.0 - 1e-10))
-        return lo, hi
-
-    def quadrature_grid(self, m: int = 4001) -> np.ndarray:
-        lo, hi = self.integration_interval()
-        return np.linspace(lo, hi, m)
+        mid = (pts[1:] + pts[:-1]) / 2.0
+        m0, m1, m2 = self.cell_moments(np.concatenate(([-np.inf], mid)), np.concatenate((mid, [np.inf])))
+        return float(np.sum(m2 - 2.0 * pts * m1 + pts * pts * m0))
 
 
 @dataclass(frozen=True)
@@ -176,17 +181,18 @@ class NormalMixtureLaw(UnivariateLaw):
         s = np.asarray(self.scales)[idx]
         return self.loc + s * rng.standard_normal(n)
 
-    def cell_moments(self, a: float, b: float) -> tuple[float, float, float]:
+    def cell_moments(self, a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         m0 = m1c = m2c = 0.0
         for w, s in zip(self.weights, self.scales):
             za, zb = (a - self.loc) / s, (b - self.loc) / s
-            p = _norm_cdf(zb) - _norm_cdf(za)
+            p = _cell_mass(special.ndtr, za, zb)
             c1 = s * (_norm_pdf(za) - _norm_pdf(zb))
             c2 = s * s * (p + _z_phi(za) - _z_phi(zb))
             m0 += w * p
             m1c += w * c1
             m2c += w * c2
-        return m0, self.loc * m0 + m1c, self.loc**2 * m0 + 2.0 * self.loc * m1c + m2c
+        return _moments(m0, self.loc * m0 + m1c, self.loc**2 * m0 + 2.0 * self.loc * m1c + m2c)
 
     def scaled(self, rho: float) -> "NormalMixtureLaw":
         if rho == 0.0:
@@ -253,27 +259,22 @@ class StudentTLaw(UnivariateLaw):
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.loc + self.scale * rng.standard_t(self.nu, size=n)
 
-    def _g1(self, x: float) -> float:
+    def _g1(self, x):
         # antiderivative of t f(t): -(nu + x^2) f(x) / (nu - 1)
-        if not math.isfinite(x):
-            return 0.0
-        return (self.nu + x * x) * float(self._std_pdf(x)) / (self.nu - 1.0)
+        return _finite_part(lambda x: (self.nu + x * x) * self._std_pdf(x) / (self.nu - 1.0), x)
 
-    def _h2(self, x: float) -> float:
+    def _h2(self, x):
         # antiderivative piece for t^2 f(t): x (nu + x^2) f(x) / (2 - nu)
-        if not math.isfinite(x):
-            return 0.0
-        return x * (self.nu + x * x) * float(self._std_pdf(x)) / (2.0 - self.nu)
+        return _finite_part(lambda x: x * (self.nu + x * x) * self._std_pdf(x) / (2.0 - self.nu), x)
 
-    def cell_moments(self, a: float, b: float) -> tuple[float, float, float]:
+    def cell_moments(self, a, b):
         nu, s, loc = self.nu, self.scale, self.loc
-        xa, xb = (a - loc) / s, (b - loc) / s
-        fa = float(special.stdtr(nu, xa)) if math.isfinite(xa) else (0.0 if xa < 0 else 1.0)
-        fb = float(special.stdtr(nu, xb)) if math.isfinite(xb) else (0.0 if xb < 0 else 1.0)
-        i0 = fb - fa
+        xa = (np.asarray(a, dtype=float) - loc) / s
+        xb = (np.asarray(b, dtype=float) - loc) / s
+        i0 = _cell_mass(lambda x: special.stdtr(nu, x), xa, xb)
         i1 = self._g1(xa) - self._g1(xb)
         i2 = self._h2(xb) - self._h2(xa) - nu / (2.0 - nu) * i0
-        return i0, loc * i0 + s * i1, loc**2 * i0 + 2.0 * loc * s * i1 + s * s * i2
+        return _moments(i0, loc * i0 + s * i1, loc**2 * i0 + 2.0 * loc * s * i1 + s * s * i2)
 
     def scaled(self, rho: float) -> "StudentTLaw":
         if rho == 0.0:
@@ -322,17 +323,11 @@ class UniformLaw(UnivariateLaw):
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=n)
 
-    def cell_moments(self, a: float, b: float) -> tuple[float, float, float]:
-        a = max(a, self.lo)
-        b = min(b, self.hi)
-        if b <= a:
-            return 0.0, 0.0, 0.0
+    def cell_moments(self, a, b):
+        a = np.maximum(np.asarray(a, dtype=float), self.lo)
+        b = np.maximum(np.minimum(np.asarray(b, dtype=float), self.hi), a)  # empty cells have b == a
         length = self.hi - self.lo
-        return (
-            (b - a) / length,
-            (b * b - a * a) / (2.0 * length),
-            (b**3 - a**3) / (3.0 * length),
-        )
+        return _moments((b - a) / length, (b * b - a * a) / (2.0 * length), (b**3 - a**3) / (3.0 * length))
 
     def scaled(self, rho: float) -> "UniformLaw":
         if rho == 0.0:

@@ -15,6 +15,7 @@ coefficients xi.  Runs are reproducible bit-for-bit from the seed alone.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,11 @@ from ._io import atomic_write, fmt12
 GAUSSIAN = "gaussian"
 STUDENT_T = "student_t"
 TWO_POINT = "two_point"
+
+
+def is_finite_number(value) -> bool:
+    """True for a finite int or float; bools, strings, null, containers, NaN and +-inf fail."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -120,6 +126,9 @@ class ScaleMixture:
         if not isinstance(payload, dict) or "kind" not in payload:
             raise ConfigError("mixture: expected an object with a 'kind' field")
         kind = payload["kind"]
+        for key in ("nu", "z1", "z2", "p"):
+            if key in payload and not is_finite_number(payload[key]):
+                raise ConfigError(f"mixture.{key}: finite number required, got {payload[key]!r}")
         if kind == GAUSSIAN:
             return cls.gaussian()
         if kind == STUDENT_T:
@@ -313,14 +322,14 @@ def model_from_dict(payload: dict) -> EllipticalModel:
         if key not in payload:
             raise ConfigError(f"model.{key}: missing required field")
     d = payload["d"]
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise ConfigError(f"model.d: must be a positive integer, got {d!r}")
+    for key in ("mu", "lambda"):
+        value = payload[key]
+        if not (isinstance(value, (list, tuple)) and len(value) == d and all(map(is_finite_number, value))):
+            raise ConfigError(f"model.{key}: expected a list of {d} finite numbers, got {value!r}")
     mu = np.asarray(payload["mu"], dtype=float)
     lam = np.asarray(payload["lambda"], dtype=float)
-    if mu.shape != (d,):
-        raise ConfigError(f"model.mu: expected {d} entries, got {mu.shape}")
-    if lam.shape != (d,):
-        raise ConfigError(f"model.lambda: expected {d} entries, got {lam.shape}")
     try:
         return EllipticalModel(mu=mu, lam=lam, mixture=ScaleMixture.from_dict(payload["mixture"]))
     except ConfigError as exc:

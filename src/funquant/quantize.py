@@ -3,9 +3,16 @@
 ``lloyd`` alternates nearest-point assignment with domain-mean updates on
 sample matrices, with k-means++ style seeding, multiple restarts and
 farthest-point re-seeding of empty domains.  ``univariate_principal_points``
-is the one-dimensional fixed-point solver driven by exact cell moments of a
-law, used both for the closed-form two-point solution along the leading
-eigendirection and for the scale-free quantization constant ``g``.
+is the one-dimensional solver driven by exact cell moments of a law, used
+both for the closed-form two-point solution along the leading
+eigendirection and for the scale-free quantization constant ``g``.  It makes
+Newton steps on the expected squared distance: one array ``cell_moments``
+call gives every cell's mass and moments, and the Hessian is tridiagonal,
+so each step is one banded Cholesky solve and the iteration converges
+quadratically.  Where the Hessian is not positive definite, or a step would
+break the points' order, it falls back to one Lloyd-Max step (each point to
+its cell mean).  Cell masses are tail-exact (see ``funquant.laws``), so far
+tail cells keep their conditional means.
 
 One blocked kernel, ``_nearest``, computes every sample-to-point distance:
 ties go to the lowest index, so runs are reproducible, and memory is O(n k)
@@ -21,6 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import linalg
 
 from .errors import DegenerateDirectionError, InsufficientDataError, ShapeError, UsageError
 from .laws import UnivariateLaw
@@ -218,8 +226,8 @@ def lloyd(
     """Alternate assignment and domain means until the point shift is below tol.
 
     ``init`` is either ``"kmeans++"`` (seeded squared-distance sampling,
-    one independent stream per restart) or an explicit (k, d) array of
-    starting points, in which case a single run is performed.  Empty
+    one independent stream per restart) or an explicit, finite (k, d) array
+    of starting points, in which case a single run is performed.  Empty
     domains re-seed their point to the farthest sample.  The restart with
     the lowest final mean squared error wins; ties go to the lowest
     restart index, so the result does not depend on ``jobs``.
@@ -260,8 +268,37 @@ def lloyd(
             raise ShapeError(
                 f"initial points must have shape ({k}, {samples.shape[1]}), got {init_points.shape}"
             )
+        if not np.isfinite(init_points).all():
+            raise UsageError("initial points must be finite; found NaN or infinite entries")
         points, report = _lloyd_once(samples, k, None, tol, max_iter, init_points)
     return PointSet(points), report
+
+
+def _solver_step(law: UnivariateLaw, y: np.ndarray) -> np.ndarray:
+    """One Newton step on the distortion of the sorted points y.
+
+    With cells cut at the midpoints b of adjacent points, half the gradient
+    is y_j m0_j - m1_j, and half the Hessian is tridiagonal: m0_j minus
+    f(b) (y_{j+1} - y_j) / 4 for each adjacent midpoint b on the diagonal,
+    -f(b) (y_{j+1} - y_j) / 4 off it.  Where that Hessian is not positive
+    definite, or the step would break the points' order, the step is one
+    Lloyd-Max update instead: each point moves to its cell's mean.
+    """
+    mid = (y[1:] + y[:-1]) / 2.0
+    m0, m1, _ = law.cell_moments(np.concatenate(([-np.inf], mid)), np.concatenate((mid, [np.inf])))
+    coupling = -law.pdf(mid) * np.diff(y) / 4.0
+    bands = np.zeros((2, y.size))
+    bands[0, 1:] = coupling
+    bands[1] = m0
+    bands[1, 1:] += coupling
+    bands[1, :-1] += coupling
+    try:
+        new = y + linalg.solveh_banded(bands, m1 - y * m0)
+        if np.all(np.diff(new) > 0):
+            return new
+    except linalg.LinAlgError:
+        pass
+    return np.divide(m1, m0, out=y.copy(), where=m0 > 1e-300)
 
 
 def univariate_principal_points(
@@ -270,12 +307,21 @@ def univariate_principal_points(
     tol: float | None = None,
     max_iter: int = 500,
 ) -> np.ndarray:
-    """Best k-point quantizer of a one-dimensional law, by fixed-point iteration.
+    """Best k-point quantizer of a one-dimensional law, by Newton's method.
 
-    Cell boundaries are midpoints of adjacent points and each point moves
-    to its cell's conditional mean (from the law's exact cell moments).
-    Several deterministic quantile-spread starts are run to convergence and
-    the one with the lowest expected squared distance wins.
+    Cell boundaries are midpoints of adjacent points, and at the solution
+    each point is its cell's conditional mean (self-consistency).  Each
+    iteration takes the moments of all k cells from the law's exact cell
+    moments in one array call and makes a Newton step on the expected
+    squared distance, whose Hessian is tridiagonal (Pages and Printems
+    2003), so the iteration converges quadratically.  Where the Hessian is
+    not positive definite, or the step would break the points' order, the
+    iteration makes one Lloyd-Max step instead (each point to its cell
+    mean; a cell with mass below 1e-300 keeps its point).  Iteration stops
+    when no point moves by ``tol`` or more (default 1e-12 standard
+    deviations), or after ``max_iter`` steps.  Several deterministic
+    quantile-spread starts are run and the one with the lowest expected
+    squared distance wins.
     """
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
@@ -301,12 +347,7 @@ def univariate_principal_points(
         y = np.array([law.quantile(p) for p in levels])
         y.sort()
         for _ in range(max_iter):
-            bounds = np.concatenate(([-np.inf], (y[1:] + y[:-1]) / 2.0, [np.inf]))
-            new = y.copy()
-            for j in range(k):
-                m0, m1, _ = law.cell_moments(bounds[j], bounds[j + 1])
-                if m0 > 1e-300:
-                    new[j] = m1 / m0
+            new = _solver_step(law, y)
             shift = np.abs(new - y).max()
             y = new
             if shift < tol:

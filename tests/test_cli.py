@@ -1,3 +1,4 @@
+import copy
 import json
 import subprocess
 import sys
@@ -289,11 +290,76 @@ class TestSchemaErrors:
         assert code == 2
         assert f"error: {where}: " in capsys.readouterr().err
 
+    def test_oversized_integer_exits_2_without_traceback(self, tmp_path):
+        # json.loads refuses integer literals over Python's int-string limit
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"n": 1' + "0" * 5000 + ', "seed": 0}')
+        result = run_cli("verify", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert f"error: {cfg}: invalid JSON" in result.stderr
+
     def test_integral_float_counts_as_integer(self, tmp_path):
         cfg = write_config(
             tmp_path, {"model": MODEL, "task": "kmeans", "n": 50, "k": 2.0, "max_iter": 5.0, "seed": 0}
         )
         assert main(["kmeans", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+_HUGE = "<5000-digit integer>"
+_FUZZ_VALUES = (
+    True, False, "abc", "", "1e-8", None, -1, 0, 2.5, float("nan"), float("inf"), float("-inf"),
+    10**400, {"x": {"y": [1]}}, [], [1.0, "a"], [[0.5]], _HUGE,
+)
+
+
+def _fuzz_paths(node, path=()):
+    """Every key and list index below the top level, as a path of keys."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _fuzz_paths(child, path + (key,))
+
+
+def _mutate(cfg, rng):
+    cfg = copy.deepcopy(cfg)
+    for _ in range(int(rng.integers(1, 4))):
+        paths = list(_fuzz_paths(cfg))
+        if not paths:
+            break
+        *parents, last = paths[int(rng.integers(len(paths)))]
+        node = cfg
+        for key in parents:
+            node = node[key]
+        if isinstance(node, dict) and rng.random() < 0.3:
+            del node[last]
+        else:
+            node[last] = copy.deepcopy(_FUZZ_VALUES[int(rng.integers(len(_FUZZ_VALUES)))])
+    return json.dumps(cfg).replace(json.dumps(_HUGE), "1" + "0" * 5000)
+
+
+@pytest.mark.parametrize(
+    "task, base",
+    [
+        ("closed-form", {"task": "closed-form", "model": dict(MODEL, mixture={"kind": "student_t", "nu": 5.0}),
+                         "seed": 0}),
+        ("closed-form", {"task": "closed-form", "model": dict(MODEL, mixture={"kind": "two_point", "z1": 1.0,
+                                                                             "z2": 3.0, "p": 0.3}), "seed": 0}),
+        ("simulate", {"task": "simulate", "model": MODEL, "n": 20, "seed": 0}),
+    ],
+    ids=["closed-form-t", "closed-form-two-point", "simulate"],
+)
+def test_fuzzed_configs_exit_with_a_documented_code(tmp_path, capsys, task, base):
+    # Seeded mutations of field types and values; any uncaught exception fails the test.
+    rng = np.random.default_rng([41, len(task), len(json.dumps(base))])
+    for case in range(80):
+        cfg = tmp_path / f"config_{case}.json"
+        text = _mutate(base, rng)
+        cfg.write_text(text)
+        code = main([task, "--config", str(cfg), "--out", str(tmp_path / f"o{case}")])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), text
+        assert "Traceback" not in err, text
 
 
 def test_singularity_maps_to_exit_3(tmp_path, monkeypatch):

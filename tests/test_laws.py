@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad, trapezoid
 
 from funquant import ConfigError, NormalMixtureLaw, StudentTLaw, UniformLaw, UsageError, normal_law
@@ -16,10 +17,21 @@ LAWS = {
 }
 
 
+def integration_window(law):
+    """A finite window carrying all but ~1e-10 of the law's mass."""
+    lo, hi = law.support
+    sd = np.sqrt(law.variance)
+    if not np.isfinite(lo):
+        lo = min(law.mean - 10.0 * sd, law.quantile(1e-10))
+    if not np.isfinite(hi):
+        hi = max(law.mean + 10.0 * sd, law.quantile(1.0 - 1e-10))
+    return lo, hi
+
+
 @pytest.mark.parametrize("name", LAWS)
 def test_density_integrates_to_one_on_quadrature_grid(name):
     law = LAWS[name]
-    grid = law.quadrature_grid()
+    grid = np.linspace(*integration_window(law), 4001)
     assert abs(trapezoid(law.pdf(grid), grid) - 1.0) < 1e-6
 
 
@@ -35,6 +47,43 @@ def test_cell_moments_match_adaptive_quadrature(name):
             quad(lambda y, p=p: y**p * law.pdf(y), qa, qb, limit=400)[0] for p in (0, 1, 2)
         ]
         np.testing.assert_allclose(law.cell_moments(a, b), expected, rtol=1e-8, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", LAWS)
+def test_array_cell_moments_match_scalar_calls(name):
+    law = LAWS[name]
+    sd = np.sqrt(law.variance)
+    cuts = law.mean + sd * np.array([-9.0, -2.5, -0.4, 0.0, 0.3, 1.1, 4.0, 12.0])
+    a = np.concatenate(([-np.inf], cuts, [-np.inf, 0.5 * sd]))
+    b = np.concatenate((cuts, [np.inf, np.inf, 0.6 * sd]))
+    moments = law.cell_moments(a, b)
+    assert all(isinstance(m, np.ndarray) and m.shape == a.shape for m in moments)
+    scalar = np.array([law.cell_moments(lo, hi) for lo, hi in zip(a, b)]).T
+    assert all(isinstance(m, float) for m in law.cell_moments(a[1], b[1]))
+    np.testing.assert_allclose(moments, scalar, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "law, x, upper_tail",
+    [
+        (normal_law(), 8.5, special.ndtr(-8.5)),
+        (StudentTLaw(nu=5.0), 200.0, special.stdtr(5.0, -200.0)),
+        (NormalMixtureLaw(weights=(0.3, 0.7), scales=(1.0, 3.0)), 30.0,
+         0.3 * special.ndtr(-30.0) + 0.7 * special.ndtr(-10.0)),
+    ],
+    ids=["normal", "t5", "two_scale_mixture"],
+)
+def test_upper_tail_masses_are_exact(law, x, upper_tail):
+    m0, m1, m2 = law.cell_moments(x, np.inf)
+    assert m0 > 0.0 and m0 == pytest.approx(upper_tail, rel=1e-12, abs=0.0)
+    # the law is symmetric, so the mirrored lower cell has the same mass
+    lo0, lo1, lo2 = law.cell_moments(-np.inf, -x)
+    assert lo0 == pytest.approx(m0, rel=1e-12, abs=0.0)
+    assert lo1 == pytest.approx(-m1, rel=1e-12, abs=0.0)
+    assert lo2 == pytest.approx(m2, rel=1e-12, abs=0.0)
+    # a finite cell in the far upper tail also keeps its mass
+    inner = law.cell_moments(x, 2.0 * x)[0]
+    assert inner == pytest.approx(m0 - law.cell_moments(2.0 * x, np.inf)[0], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("name", LAWS)
@@ -70,7 +119,7 @@ def test_scaled_by_zero_rejected():
 @pytest.mark.parametrize("name", ["normal", "two_scale_mixture", "t5", "uniform"])
 def test_expected_sq_distance_matches_quadrature_oracle(name):
     law = LAWS[name]
-    lo, hi = law.integration_interval()
+    lo, hi = integration_window(law)
     inf_tails = name.startswith("t")
     core = (-30.0, 30.0) if inf_tails else (lo, hi)
     for points in ([0.0], [-1.0, 0.5], [-2.0, -0.1, 1.7]):

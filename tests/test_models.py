@@ -279,6 +279,13 @@ class TestModelSchema:
             ({"d": 2, "mu": [0, 0], "lambda": [1, 1]}, "model.mixture"),
             ({"d": 2, "mu": [0, 0], "lambda": [1, 1], "mixture": {"kind": "cauchy"}}, "kind"),
             ({"d": 0, "mu": [], "lambda": [], "mixture": {"kind": "gaussian"}}, "model.d"),
+            ({"d": True, "mu": [0], "lambda": [1], "mixture": {"kind": "gaussian"}}, "model.d"),
+            ({"d": 2, "mu": [0, float("nan")], "lambda": [1, 1], "mixture": {"kind": "gaussian"}}, "model.mu"),
+            ({"d": 2, "mu": [0, 0], "lambda": ["1", 1], "mixture": {"kind": "gaussian"}}, "model.lambda"),
+            ({"d": 2, "mu": [0, 0], "lambda": [1, 10**400], "mixture": {"kind": "gaussian"}}, "model.lambda"),
+            ({"d": 2, "mu": [0, 0], "lambda": [1, 1], "mixture": {"kind": "student_t", "nu": "5"}}, "mixture.nu"),
+            ({"d": 2, "mu": [0, 0], "lambda": [1, 1],
+              "mixture": {"kind": "two_point", "z1": 1.0, "z2": float("inf"), "p": 0.5}}, "mixture.z2"),
         ],
     )
     def test_schema_violations(self, payload, fragment):

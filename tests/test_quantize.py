@@ -247,6 +247,37 @@ class TestUnivariateSolver:
         np.testing.assert_allclose(pts, oracles.T5_K2, atol=1e-6)
         assert val == pytest.approx(oracles.T5_K2_MSE, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "law",
+        [normal_law(), StudentTLaw(nu=4.0), ScaleMixture.two_point(1.0, 3.0, 0.3).standardized_law()],
+        ids=["normal", "t4", "two-point"],
+    )
+    def test_k20_points_are_their_cell_means(self, law):
+        points = univariate_principal_points(law, 20)
+        mid = (points[1:] + points[:-1]) / 2.0
+        m0, m1, _ = law.cell_moments(np.concatenate(([-np.inf], mid)), np.concatenate((mid, [np.inf])))
+        assert np.all(np.diff(points) > 0)
+        assert np.abs(points - m1 / m0).max() <= 1e-10 * np.sqrt(law.variance)
+
+    @pytest.mark.parametrize("failure", ["not-positive-definite", "disordered"])
+    @pytest.mark.parametrize(
+        "law, k", [(normal_law(), 5), (StudentTLaw(nu=5.0), 3)], ids=["normal-k5", "t5-k3"]
+    )
+    def test_lloyd_max_fallback_reaches_the_same_points(self, monkeypatch, law, k, failure):
+        newton = univariate_principal_points(law, k)
+        calls = []
+
+        def broken_solve(bands, rhs):
+            calls.append(rhs.size)
+            if failure == "not-positive-definite":
+                raise np.linalg.LinAlgError("not positive definite")
+            return -10.0 * np.arange(rhs.size)  # a step that reverses the points' order
+
+        monkeypatch.setattr(quantize.linalg, "solveh_banded", broken_solve)
+        lloyd_max = univariate_principal_points(law, k)
+        assert calls
+        np.testing.assert_allclose(lloyd_max, newton, rtol=0.0, atol=1e-10 * np.sqrt(law.variance))
+
     def test_gauss_hermite_cross_check(self):
         # GH quadrature of the kinked integrand is only coarsely accurate,
         # but anchors the panel oracle at the percent level
@@ -462,3 +493,10 @@ def test_non_finite_samples_rejected(call, bad):
     draws[0, 1] = bad
     with pytest.raises(UsageError, match="finite"):
         call(draws)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_lloyd_start_points_rejected(bad):
+    draws = np.random.default_rng(35).standard_normal((200, 2))
+    with pytest.raises(UsageError, match="finite"):
+        lloyd(draws, 2, init=[[bad, 0.0], [1.0, 0.0]], max_iter=5)
