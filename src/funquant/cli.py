@@ -375,6 +375,9 @@ def main(argv=None) -> int:
     except (ConfigError, FunquantError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: config.n: too large for this machine's memory ({exc})", file=sys.stderr)
+        return _EXIT_CONFIG
 
 
 if __name__ == "__main__":

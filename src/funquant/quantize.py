@@ -14,10 +14,19 @@ break the points' order, it falls back to one Lloyd-Max step (each point to
 its cell mean).  Cell masses are tail-exact (see ``funquant.laws``), so far
 tail cells keep their conditional means.
 
-One blocked kernel, ``_nearest``, computes every sample-to-point distance:
-ties go to the lowest index, so runs are reproducible, and memory is O(n k)
-plus one block of at most 8 MiB.  ``_domain_means`` computes every domain
-mean.  Indices are 0-based throughout.
+One blocked kernel, ``_nearest``, assigns every sample to its nearest point.
+It ranks the points by the expansion |c|^2 - 2 x.c, taking the cross terms
+of a block of rows from one BLAS product, on samples and points shifted by
+the sample mean, so a large mean costs no precision.  A rounding bound set
+by the dtype, d and the centered norms marks every row whose two best
+values are too close to call, exact ties included; those rows are ranked
+again by the difference formula sum_i (x_i - c_i)^2, and every squared
+distance is that formula's on the chosen point.  So labels and distances
+are exactly the difference formula's, ties go to the lowest index, and runs
+are reproducible.  Memory is O(n k) plus one (k, rows) block of at most
+8 MiB plus one n x d centered copy, which ``lloyd`` makes once per solve.
+``_domain_means`` computes every domain mean.  Indices are 0-based
+throughout.
 """
 
 from __future__ import annotations
@@ -83,21 +92,72 @@ class LloydReport:
     mse_history: tuple[float, ...] = ()
 
 
-# Cap on the bytes of one (rows, k, d) difference block in ``_nearest``.
+# Cap on the bytes of a ``_nearest`` block's (k, rows) expanded distances and (rows, d) differences.
 _BLOCK_BYTES = 8 << 20
 
 
-def _nearest(samples: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-point labels (ties to the lowest index) and squared distances."""
+def _centered(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The samples less their mean, that mean, and each centered row's norm."""
     n = samples.shape[0]
-    rows = max(1, _BLOCK_BYTES // (8 * max(1, points.size)))
+    shift = np.ones(n) @ samples / max(1, n)
+    centered = samples - shift
+    return centered, shift, np.sqrt(np.einsum("nd,nd->n", centered, centered))
+
+
+def _repair(samples: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Nearest-point labels by the difference formula, ties to the lowest index."""
+    diff = samples[:, None, :] - points[None, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff).argmin(axis=1)
+
+
+def _nearest(samples: np.ndarray, points: np.ndarray, centered=None) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-point labels (ties to the lowest index) and squared distances.
+
+    The labels and distances are exactly those of the difference formula
+    sum_i (x_i - c_i)^2.  Points are ranked by the expansion
+    |c|^2 - 2 x.c on samples and points shifted by the sample mean, with
+    the cross terms of a block of rows from one BLAS product (|x|^2 is the
+    same for every point of a row and is dropped).  The expansion and the
+    difference formula each differ from the exact distance by at most
+    about (d + 3) eps/2 R^2 per point, where R = |x - s| + max_j |c_j - s|
+    and s is the shift, so a row whose two best expanded values lie more
+    than (2d + 8) eps R^2 apart has the same nearest point under both.
+    Any other row, exact ties included, is ranked again by the difference
+    formula.  The squared distance is the difference formula's, on the
+    chosen point only.  ``centered`` is ``_centered(samples)`` when the
+    caller already has it.
+    """
+    x, shift, norms = _centered(samples) if centered is None else centered
+    n, d = samples.shape
+    k = points.shape[0]
+    c = points - shift
+    c2 = np.einsum("kd,kd->k", c, c)
+    cross = -2.0 * c
+    reach = np.sqrt(c2.max())
+    slack = (2 * d + 8) * np.finfo(samples.dtype).eps
+    # the floor covers the absolute rounding of gradual underflow
+    floor = np.finfo(samples.dtype).tiny
+    index = np.arange(k, dtype=float)[:, None]
+    rows = max(1, _BLOCK_BYTES // (8 * max(k, d)))
+    repair_rows = max(1, _BLOCK_BYTES // (8 * points.size))
     labels = np.empty(n, dtype=np.intp)
     d2min = np.empty(n)
     for start in range(0, n, rows):
-        diff = samples[start:start + rows, None, :] - points[None, :, :]
-        d2 = np.einsum("nkd,nkd->nk", diff, diff)
-        labels[start:start + rows] = d2.argmin(axis=1)
-        d2min[start:start + rows] = d2.min(axis=1)
+        stop = min(start + rows, n)
+        expanded = cross @ x[start:stop].T
+        expanded += c2[:, None]
+        bound = slack * (norms[start:stop] + reach) ** 2 + floor
+        close = expanded <= expanded.min(axis=0) + bound
+        # where one point is close, the index-weighted sum is that point's index
+        labels[start:stop] = np.multiply(close, index, out=expanded).sum(axis=0)
+        near = start + np.flatnonzero(close.sum(axis=0, dtype=np.int32) != 1)
+        for first in range(0, near.size, repair_rows):
+            tied = near[first:first + repair_rows]
+            labels[tied] = _repair(samples[tied], points)
+        diff = np.take(points, labels[start:stop], axis=0)
+        np.subtract(samples[start:stop], diff, out=diff)
+        d2min[start:stop] = np.einsum("nd,nd->n", diff, diff)
+        del expanded, close, diff  # so no two blocks are alive at once
     return labels, d2min
 
 
@@ -184,10 +244,10 @@ def _kmeanspp_init(samples: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return np.array(centers)
 
 
-def _lloyd_once(samples, k, rng, tol, max_iter, init_points):
+def _lloyd_once(samples, centered, k, rng, tol, max_iter, init_points):
     # The assignment made after the last update gives the final mse and residual.
     points = _kmeanspp_init(samples, k, rng) if init_points is None else np.array(init_points, dtype=float)
-    labels, d2min = _nearest(samples, points)
+    labels, d2min = _nearest(samples, points, centered)
     mse_history, converged, iterations = [], False, 0
     while iterations < max_iter and not converged:
         iterations += 1
@@ -196,10 +256,10 @@ def _lloyd_once(samples, k, rng, tol, max_iter, init_points):
         new_points = np.where(counts[:, None] > 0, means, points)
         for j in np.flatnonzero(counts == 0):
             # re-seed to the sample farthest from the current set; keeps k fixed
-            new_points[j] = samples[int(_nearest(samples, new_points)[1].argmax())]
+            new_points[j] = samples[int(_nearest(samples, new_points, centered)[1].argmax())]
         converged = float(np.linalg.norm(new_points - points, axis=1).max()) < tol
         points = new_points
-        labels, d2min = _nearest(samples, points)
+        labels, d2min = _nearest(samples, points, centered)
     final_mse = float(d2min.mean())
     mse_history.append(final_mse)
     report = LloydReport(
@@ -240,6 +300,7 @@ def lloyd(
         raise InsufficientDataError(f"need at least k={k} samples, got {n}")
     if not tol > 0:
         raise UsageError(f"tol must be positive, got {tol}")
+    centered = _centered(samples)
 
     if isinstance(init, str):
         if init != "kmeans++":
@@ -252,7 +313,7 @@ def lloyd(
 
         def run(stream):
             gen = np.random.Generator(np.random.Philox(stream))
-            return _lloyd_once(samples, k, gen, tol, max_iter, None)
+            return _lloyd_once(samples, centered, k, gen, tol, max_iter, None)
 
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -270,7 +331,7 @@ def lloyd(
             )
         if not np.isfinite(init_points).all():
             raise UsageError("initial points must be finite; found NaN or infinite entries")
-        points, report = _lloyd_once(samples, k, None, tol, max_iter, init_points)
+        points, report = _lloyd_once(samples, centered, k, None, tol, max_iter, init_points)
     return PointSet(points), report
 
 

@@ -299,6 +299,15 @@ class TestSchemaErrors:
         assert "Traceback" not in result.stderr
         assert f"error: {cfg}: invalid JSON" in result.stderr
 
+    @pytest.mark.parametrize("task", ["simulate", "kmeans"])
+    def test_unallocatable_n_exits_2_without_traceback(self, tmp_path, task):
+        # 7.11 PiB of draws: the first allocation fails at once, so no memory is used
+        cfg = write_config(tmp_path, {"model": MODEL, "task": task, "n": 10**15, "k": 2, "seed": 0})
+        result = run_cli(task, "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "error: config.n: " in result.stderr
+
     def test_integral_float_counts_as_integer(self, tmp_path):
         cfg = write_config(
             tmp_path, {"model": MODEL, "task": "kmeans", "n": 50, "k": 2.0, "max_iter": 5.0, "seed": 0}

@@ -413,7 +413,23 @@ LLOYD_CASES = {
     "k-equals-n": (lambda: sample(gaussian_model([1.0, 1.0]), 10, seed=25), 10, {"restarts": 3, "seed": 4}),
     "jobs-4": (lambda: sample(gaussian_model([4.0, 1.0]), 3000, seed=26), 3,
                {"restarts": 4, "seed": 5, "jobs": 4}),
+    # |mu| = 1e8 and two start points 1e-3 apart
+    "offset-1e8-close-pair": (lambda: sample(gaussian_model([1.0, 0.25], mu=[6e7, 8e7]), 2000, seed=27), 2,
+                              {"init": np.array([[6e7, 8e7], [6e7 + 1e-3, 8e7]]), "tol": 1e-10}),
 }
+
+
+def record_repairs(monkeypatch) -> list:
+    """Collect every block of rows that ``_nearest`` ranks again by the difference formula."""
+    seen = []
+    repair = quantize._repair
+
+    def recording(samples, points):
+        seen.append(samples.copy())
+        return repair(samples, points)
+
+    monkeypatch.setattr(quantize, "_repair", recording)
+    return seen
 
 
 class TestNearestKernel:
@@ -457,6 +473,82 @@ class TestNearestKernel:
         a = assign(lattice.astype(float), PointSet(points.astype(float)))
         np.testing.assert_array_equal(a.labels, expected)
         assert a.counts[4] == 0
+
+    def test_offset_samples_keep_reference_labels(self, monkeypatch):
+        # at |mu| = 1e8 an uncentered expansion rounds |x|^2 to about 2 units,
+        # far more than the 4e-3 |x_1 - mu_1| between the two points' distances
+        mu = np.array([6e7, 8e7])
+        draws = mu + np.random.default_rng(36).standard_normal((5000, 2))
+        points = mu + np.array([[0.0, 0.0], [1e-3, 0.0]])
+        d2 = oracles.reference_sq_distances(draws, points)
+        uncentered = ((points**2).sum(axis=1) - 2.0 * draws @ points.T).argmin(axis=1)
+        assert (uncentered != d2.argmin(axis=1)).sum() > 100
+        seen = record_repairs(monkeypatch)
+        labels, d2min = quantize._nearest(draws, points)
+        np.testing.assert_array_equal(labels, d2.argmin(axis=1))
+        np.testing.assert_array_equal(d2min, d2.min(axis=1))
+        # centered, the rounding scale is |x - mu|^2, not |mu|^2, so no row is a near tie
+        assert not seen
+
+    @pytest.mark.parametrize("offset", [1 / 3, 1e6], ids=["third", "1e6"])
+    def test_shifted_lattice_ties_take_the_repair_path(self, offset, monkeypatch):
+        monkeypatch.setattr(quantize, "_BLOCK_BYTES", 7 * 5 * 8)  # 7 rows per block
+        seen = record_repairs(monkeypatch)
+        lattice = np.array([(x, y) for x in range(-3, 4) for y in range(-3, 4)]) + offset
+        points = np.array([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 0]]) + offset
+        d2 = oracles.reference_sq_distances(lattice, points)
+        tied = (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1
+        assert tied.sum() == 22  # the shift keeps every tie of the unshifted lattice exact
+        labels, d2min = quantize._nearest(lattice, points)
+        np.testing.assert_array_equal(labels, d2.argmin(axis=1))
+        np.testing.assert_array_equal(d2min, d2.min(axis=1))
+        assert not (labels == 4).any()
+        repaired = np.concatenate(seen)
+        assert all((repaired == row).all(axis=1).any() for row in lattice[tied])
+
+    def test_rows_take_the_repair_path_only_at_near_ties(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        points = 2.0 * rng.standard_normal((8, 3))
+        points[:2] = [[0.75, 0.0, 0.0], [0.25, 0.0, 0.0]]
+        # 10^4 t5 draws, then 200 rows at most 20 ulps off the plane x_1 = 0.5 between points 0 and 1
+        offplane = rng.integers(-20, 21, 200) * np.spacing(0.5)
+        offplane[:100] = 0.0
+        plane = np.column_stack([0.5 + offplane, 0.1 * rng.standard_normal((200, 2))])
+        draws = np.vstack([sample(t5_model([4.0, 1.0, 0.25]), 10_000, seed=38), plane])
+        seen = record_repairs(monkeypatch)
+        labels, d2min = quantize._nearest(draws, points)
+        d2 = oracles.reference_sq_distances(draws, points)
+        np.testing.assert_array_equal(labels, d2.argmin(axis=1))
+        np.testing.assert_array_equal(d2min, d2.min(axis=1))
+        repaired = np.concatenate(seen)
+        tied = (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1
+        # within twice the kernel's bound (2d + 8) eps R^2 of a tie
+        shift = draws.mean(axis=0)
+        reach = np.linalg.norm(draws - shift, axis=1) + np.linalg.norm(points - shift, axis=1).max()
+        ranked = np.sort(d2, axis=1)
+        near = ranked[:, 1] - ranked[:, 0] <= 2 * (2 * 3 + 8) * np.finfo(float).eps * reach**2
+        # every exact tie is repaired, every repaired row is a near tie, and no plain draw is one
+        assert tied.sum() >= 50
+        assert all((repaired == row).all(axis=1).any() for row in draws[tied])
+        assert all((draws[near] == row).all(axis=1).any() for row in repaired)
+        assert not near[:10_000].any()
+
+    @pytest.mark.parametrize(
+        "scale, spread, d, k",
+        [(1.0, 1e-14, 2, 6), (1.0, 1e-14, 5, 16), (1e-150, 1e-3, 4, 5), (1e140, 1e-6, 2, 4),
+         (1.0, 1e-12, 130, 7), (1.0, 1.0, 5, 1)],
+        ids=["near-duplicates-d2", "near-duplicates-d5", "tiny-scale", "huge-scale", "d130", "k1"],
+    )
+    def test_clustered_points_match_the_reference(self, scale, spread, d, k):
+        # points about spread * scale apart, in a cloud of size scale centered at 5 * scale:
+        # distances differ by a few ulps, so these rows test the repair bound itself
+        rng = np.random.default_rng(39)
+        draws = scale * (5.0 + rng.standard_normal((400, d)))
+        points = scale * (5.0 + spread * rng.standard_normal((k, d)))
+        labels, d2min = quantize._nearest(draws, points)
+        d2 = oracles.reference_sq_distances(draws, points)
+        np.testing.assert_array_equal(labels, d2.argmin(axis=1))
+        np.testing.assert_array_equal(d2min, d2.min(axis=1))
 
     def test_assign_memory_stays_well_under_the_full_tensor(self):
         import tracemalloc
