@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .errors import ConfigError, ShapeError
 from ._io import atomic_write, fmt12
@@ -63,6 +62,8 @@ class BasisSpec:
             g = np.asarray(self.grid, dtype=float)
             if g.ndim != 1 or g.size < 2:
                 raise ConfigError("grid must be a 1-d sequence with at least 2 points")
+            if not np.isfinite(g).all():
+                raise ConfigError("grid abscissae must be finite")
             if np.any(np.diff(g) <= 0):
                 raise ConfigError("grid abscissae must be strictly increasing")
             if g[0] < 0.0 or g[-1] > 1.0:
@@ -115,7 +116,8 @@ class Basis:
             return np.eye(self.dimension)
         t = np.asarray(self.grid if grid is None else grid, dtype=float)
         phi = self.design_matrix(t)
-        return trapezoid(phi[:, :, None] * phi[:, None, :], t, axis=0)
+        f = phi[:, :, None] * phi[:, None, :]
+        return (np.diff(t)[:, None, None] * (f[1:] + f[:-1])).sum(axis=0) / 2.0
 
 
 def make_basis(spec: BasisSpec) -> Basis:

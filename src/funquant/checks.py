@@ -10,7 +10,8 @@ multiples or relative percentages, limited by sampling).
 
 Checks whose preconditions cannot be decided from data (for example span
 comparisons under a nearly degenerate spectrum) come back flagged rather
-than failed.
+than failed.  ``scipy.optimize`` is imported inside ``simplex_fit``, its
+only user, so importing this module loads no part of scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .basis import SubspaceSplit, random_orthogonal
 from .errors import ShapeError, UsageError
@@ -88,6 +88,8 @@ def _finish(name, params, residuals, tolerances, tol_class, flags, started) -> V
 def simplex_fit(points: np.ndarray, target: np.ndarray, x0=None) -> tuple[np.ndarray, float]:
     """Least-squares combination of rows of ``points`` matching ``target``,
     with weights constrained to the probability simplex."""
+    from scipy.optimize import minimize
+
     points = np.asarray(points, dtype=float)
     target = np.asarray(target, dtype=float)
     k = points.shape[0]

@@ -73,9 +73,9 @@ def _numeric(value, where: str, kind: type, ok, wanted: str):
     raise ConfigError(f"{where}: {wanted} required, got {value!r}")
 
 
-def _count(cfg: dict, name: str, default=None, low: int = 1, high: float = math.inf) -> int:
+def _count(cfg: dict, name: str, default=None, low: int = 1, high: float = math.inf, where: str = "config") -> int:
     wanted = f"integer >= {low}" if high == math.inf else f"integer in [{low}, {high}]"
-    return _numeric(cfg.get(name, default), f"config.{name}", int, lambda v: low <= v <= high, wanted)
+    return _numeric(cfg.get(name, default), f"{where}.{name}", int, lambda v: low <= v <= high, wanted)
 
 
 def _load_config(path: str) -> dict:
@@ -100,13 +100,15 @@ def _parse_basis(cfg: dict) -> Basis | None:
     _expect(isinstance(raw, dict), "config.basis: must be an object")
     family = raw.get("family", FOURIER)
     _expect(family in (FOURIER, SYNTHETIC), f"config.basis.family: unknown family {family!r}")
-    dimension = raw.get("dimension", cfg["model"]["d"] if "model" in cfg else None)
-    _expect(isinstance(dimension, int), "config.basis.dimension: required integer")
+    dimension = _count(raw, "dimension", cfg["model"]["d"] if "model" in cfg else None, where="config.basis")
     if "grid" in raw:
         grid = raw["grid"]
+        _expect(
+            isinstance(grid, list) and all(map(is_finite_number, grid)),
+            f"config.basis.grid: a list of finite numbers required, got {grid!r}",
+        )
     elif "grid_points" in raw:
-        m = raw["grid_points"]
-        _expect(isinstance(m, int) and m >= 2, "config.basis.grid_points: integer >= 2 required")
+        m = _count(raw, "grid_points", low=2, where="config.basis")
         grid = np.linspace(0.0, 1.0, m).tolist()
     else:
         grid = None

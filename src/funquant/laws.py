@@ -14,7 +14,8 @@ from the complementary CDF, so a far upper cell does not round to
 ``1 - 1 = 0``.  The laws of one-dimensional projections of the elliptical
 models in this package are always of one of these forms: a finite mixture
 of centered normals (gaussian / two-point scale mixtures) or a scaled
-Student t.
+Student t.  ``scipy.special`` is imported inside the methods that call
+it, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError, UsageError
 
@@ -159,11 +159,15 @@ class NormalMixtureLaw(UnivariateLaw):
         return out if np.ndim(y) else float(out)
 
     def cdf(self, y):
+        from scipy import special
+
         z = (np.asarray(y, dtype=float) - self.loc)
         out = sum(w * special.ndtr(z / s) for w, s in zip(self.weights, self.scales))
         return out if np.ndim(y) else float(out)
 
     def quantile(self, p: float) -> float:
+        from scipy import special
+
         if not 0.0 < p < 1.0:
             raise UsageError(f"quantile level must be in (0, 1), got {p}")
         if len(self.scales) == 1:
@@ -182,6 +186,8 @@ class NormalMixtureLaw(UnivariateLaw):
         return self.loc + s * rng.standard_normal(n)
 
     def cell_moments(self, a, b):
+        from scipy import special
+
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         m0 = m1c = m2c = 0.0
         for w, s in zip(self.weights, self.scales):
@@ -237,6 +243,8 @@ class StudentTLaw(UnivariateLaw):
         return (-math.inf, math.inf)
 
     def _std_pdf(self, x):
+        from scipy import special
+
         nu = self.nu
         logc = special.gammaln((nu + 1) / 2) - special.gammaln(nu / 2) - 0.5 * math.log(nu * math.pi)
         return np.exp(logc - 0.5 * (nu + 1) * np.log1p(np.asarray(x, dtype=float) ** 2 / nu))
@@ -247,11 +255,15 @@ class StudentTLaw(UnivariateLaw):
         return out if np.ndim(y) else float(out)
 
     def cdf(self, y):
+        from scipy import special
+
         x = (np.asarray(y, dtype=float) - self.loc) / self.scale
         out = special.stdtr(self.nu, x)
         return out if np.ndim(y) else float(out)
 
     def quantile(self, p: float) -> float:
+        from scipy import special
+
         if not 0.0 < p < 1.0:
             raise UsageError(f"quantile level must be in (0, 1), got {p}")
         return self.loc + self.scale * float(special.stdtrit(self.nu, p))
@@ -268,6 +280,8 @@ class StudentTLaw(UnivariateLaw):
         return _finite_part(lambda x: x * (self.nu + x * x) * self._std_pdf(x) / (2.0 - self.nu), x)
 
     def cell_moments(self, a, b):
+        from scipy import special
+
         nu, s, loc = self.nu, self.scale, self.loc
         xa = (np.asarray(a, dtype=float) - loc) / s
         xb = (np.asarray(b, dtype=float) - loc) / s

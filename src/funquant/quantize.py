@@ -26,7 +26,9 @@ are exactly the difference formula's, ties go to the lowest index, and runs
 are reproducible.  Memory is O(n k) plus one (k, rows) block of at most
 8 MiB plus one n x d centered copy, which ``lloyd`` makes once per solve.
 ``_domain_means`` computes every domain mean.  Indices are 0-based
-throughout.
+throughout.  ``scipy.linalg`` is imported inside the one-dimensional
+solver step, its only user, so ``lloyd`` and the sample-based helpers load
+numpy only.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import linalg
 
 from .errors import DegenerateDirectionError, InsufficientDataError, ShapeError, UsageError
 from .laws import UnivariateLaw
@@ -345,6 +346,8 @@ def _solver_step(law: UnivariateLaw, y: np.ndarray) -> np.ndarray:
     definite, or the step would break the points' order, the step is one
     Lloyd-Max update instead: each point moves to its cell's mean.
     """
+    from scipy import linalg
+
     mid = (y[1:] + y[:-1]) / 2.0
     m0, m1, _ = law.cell_moments(np.concatenate(([-np.inf], mid)), np.concatenate((mid, [np.inf])))
     coupling = -law.pdf(mid) * np.diff(y) / 4.0

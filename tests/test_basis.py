@@ -51,6 +51,7 @@ def test_synthetic_evaluation_is_identity():
         {"family": FOURIER, "dimension": 0},
         {"family": FOURIER, "dimension": 3, "grid": [0.5, 0.4, 0.6]},
         {"family": FOURIER, "dimension": 3, "grid": [0.0, 0.5, 1.2]},
+        {"family": FOURIER, "dimension": 3, "grid": [0.0, float("nan"), 1.0]},
     ],
 )
 def test_invalid_basis_specs_rejected(kwargs):

@@ -279,6 +279,14 @@ class TestSchemaErrors:
             pytest.param("kmeans", '"tol": 1' + "0" * 400, "config.tol", id="kmeans-huge-int-tol"),
             ("verify", '"n": 1.5', "config.n"),
             ("verify", '"n": "200"', "config.n"),
+            ("kmeans", '"basis": {"grid": "abc"}', "config.basis.grid"),
+            ("kmeans", '"basis": {"grid": [0, 0.5, "x"]}', "config.basis.grid"),
+            ("kmeans", '"basis": {"grid": [0, NaN, 1]}', "config.basis.grid"),
+            pytest.param(
+                "kmeans", '"model": ' + json.dumps(dict(MODEL, d=1, mu=[0.0], **{"lambda": [1.0]}))
+                + ', "basis": {"dimension": true}', "config.basis.dimension", id="kmeans-d1-bool-dimension",
+            ),
+            ("kmeans", '"basis": {"grid_points": true}', "config.basis.grid_points"),
         ],
     )
     def test_typed_fields_exit_2_with_anchored_message(self, tmp_path, capsys, task, field, where):
@@ -355,8 +363,12 @@ def _mutate(cfg, rng):
         ("closed-form", {"task": "closed-form", "model": dict(MODEL, mixture={"kind": "two_point", "z1": 1.0,
                                                                              "z2": 3.0, "p": 0.3}), "seed": 0}),
         ("simulate", {"task": "simulate", "model": MODEL, "n": 20, "seed": 0}),
+        # grid wins over grid_points, so grid_points is read once a mutation deletes grid
+        ("closed-form", {"task": "closed-form", "model": MODEL, "seed": 0,
+                         "basis": {"family": "fourier-on-[0,1]", "dimension": 3, "grid": [0.0, 0.5, 1.0],
+                                   "grid_points": 5}}),
     ],
-    ids=["closed-form-t", "closed-form-two-point", "simulate"],
+    ids=["closed-form-t", "closed-form-two-point", "simulate", "closed-form-basis"],
 )
 def test_fuzzed_configs_exit_with_a_documented_code(tmp_path, capsys, task, base):
     # Seeded mutations of field types and values; any uncaught exception fails the test.
@@ -369,6 +381,44 @@ def test_fuzzed_configs_exit_with_a_documented_code(tmp_path, capsys, task, base
         err = capsys.readouterr().err
         assert code in (0, 1, 2, 3), text
         assert "Traceback" not in err, text
+
+
+_SCIPY_PROBE = """
+import sys
+
+import funquant
+from funquant import cli
+
+for task in sys.argv[2:]:
+    code = cli.main([task, "--config", f"{sys.argv[1]}/{task}.json", "--out", f"{sys.argv[1]}/out_{task}"])
+    print("probe", task, code, *sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_scipy_free_tasks_do_not_import_scipy(tmp_path):
+    # verify runs last: it is the one task here that needs scipy, so it shows the probe sees imports
+    report_input = write_config(tmp_path, [{"name": "convex_hull", "params": {}, "passed": True}], "reports.json")
+    configs = {
+        "simulate": {"model": MODEL, "n": 20, "seed": 0},
+        "estimate": {"model": MODEL, "n": 50, "seed": 0},
+        "kmeans": {"model": MODEL, "n": 50, "k": 2, "seed": 0,
+                   "basis": {"family": "fourier-on-[0,1]", "grid_points": 9}},
+        "report": {"inputs": [str(report_input)]},
+        "verify": {"checks": ["ratio_invariance"], "seed": 0},
+    }
+    for task, payload in configs.items():
+        write_config(tmp_path, payload, f"{task}.json")
+    result = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), *configs],
+        capture_output=True, text=True, cwd=Path(__file__).parent.parent,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = [line.split()[1:] for line in result.stdout.splitlines() if line.startswith("probe ")]
+    assert [line[:2] for line in lines] == [[task, "0"] for task in configs]
+    assert (tmp_path / "out_kmeans" / "point_1.csv").exists()
+    for task, _, *scipy_modules in lines[:-1]:
+        assert scipy_modules == [], task
+    assert "scipy.special" in lines[-1][2:]
 
 
 def test_singularity_maps_to_exit_3(tmp_path, monkeypatch):

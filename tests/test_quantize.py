@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from funquant import (
     DegenerateDirectionError,
@@ -273,7 +274,8 @@ class TestUnivariateSolver:
                 raise np.linalg.LinAlgError("not positive definite")
             return -10.0 * np.arange(rhs.size)  # a step that reverses the points' order
 
-        monkeypatch.setattr(quantize.linalg, "solveh_banded", broken_solve)
+        # the solver step imports scipy.linalg when it runs, so it picks up the patched function
+        monkeypatch.setattr(scipy.linalg, "solveh_banded", broken_solve)
         lloyd_max = univariate_principal_points(law, k)
         assert calls
         np.testing.assert_allclose(lloyd_max, newton, rtol=0.0, atol=1e-10 * np.sqrt(law.variance))
