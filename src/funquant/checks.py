@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -224,6 +224,14 @@ def span_rank(
     return rank, ambiguous
 
 
+def _has_gap(lam: np.ndarray, q: int = 1, tol: float = 1e-3) -> bool:
+    """Whether ``lam`` falls by ``tol`` of its top value or more after its q-th value (or ends there)."""
+    if q >= lam.size:
+        return True
+    top = float(lam[0]) if lam[0] > 0 else 1.0
+    return float(lam[q - 1] - lam[q]) / top >= tol
+
+
 def check_eigen_span(
     model: EllipticalModel,
     k: int,
@@ -245,10 +253,7 @@ def check_eigen_span(
     """
     started = time.perf_counter()
     p = {"model": model.label(), "n": n, "seed": seed, "k": k, "q_expected": q_expected}
-    lam = model.lam
-    top = float(lam[0]) if lam[0] > 0 else 1.0
-    gap = float(lam[q_expected - 1] - lam[q_expected]) / top if q_expected < lam.size else float("inf")
-    if gap < gap_tol:
+    if not _has_gap(model.lam, q_expected, gap_tol):
         return _finish(
             "eigen_span", p, {}, {}, MONTE_CARLO, ("degenerate-spectrum",), started
         )
@@ -262,13 +267,12 @@ def check_eigen_span(
 
     points, _ = lloyd(draws, k, tol=1e-10, restarts=restarts, seed=seed)
     centered = points.points - draws.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
+    _, svals, vt = np.linalg.svd(centered)
     rank, ambiguous = span_rank(svals)
     flags = ["ambiguous-rank"] if ambiguous else []
     if rank == 0 or flags:
         return _finish("eigen_span", p, {}, {}, MONTE_CARLO, tuple(flags) or ("zero-span",), started)
 
-    _, _, vt = np.linalg.svd(centered)
     span = vt[:rank].T
     target = eigvecs[:, :rank]
     cosines = np.linalg.svd(span.T @ target, compute_uv=False)
@@ -448,109 +452,83 @@ def check_mse_identity(
     return _finish("mse_identity", p, residuals, tolerances, MONTE_CARLO, (), started)
 
 
-ALL_CHECKS = (
-    "convex_hull",
-    "unitary_equivariance",
-    "kernel_orthogonality",
-    "eigen_span",
-    "dimension_bound",
-    "projection_self_consistency",
-    "conditional_linearity",
-    "ratio_invariance",
-    "mse_identity",
-)
-
-
 def reference_models() -> list[EllipticalModel]:
     """Gaussian and t5 mixtures over the three reference spectra."""
     spectra = [(4.0, 1.0, 0.25), (1.0, 1.0, 1.0), (1.0, 0.0)]
     mixtures = [ScaleMixture.gaussian(), ScaleMixture.student_t(5.0)]
-    models = []
-    for lam in spectra:
-        for mixture in mixtures:
-            models.append(EllipticalModel(mu=np.zeros(len(lam)), lam=np.array(lam), mixture=mixture))
-    return models
+    return [EllipticalModel(mu=np.zeros(len(lam)), lam=np.array(lam), mixture=mixture)
+            for lam in spectra for mixture in mixtures]
 
 
-def _rotated_split(d: int, q: int, seed: int) -> SubspaceSplit:
-    return SubspaceSplit(u_basis=random_orthogonal(d, seed)[:q])
+_N_MID = 50_000  # draws per Lloyd fixture; the Monte Carlo checks take the suite's full n
 
 
-def reference_suite(
-    seed: int = 0,
-    n: int = 200_000,
-    checks=None,
-    jobs: int = 1,
-) -> list[VerificationReport]:
+def _on_fixture(check, model, k, n, seed, jobs, *args):
+    """``check`` run on draws of ``model`` and a k-point Lloyd fixed point on them, both from ``seed``."""
+    draws = sample(model, min(n, _N_MID), seed)
+    points, _ = lloyd(draws, k, tol=1e-10, restarts=5, seed=seed, jobs=jobs)
+    return check(draws, points, *args, params={"model": model.label(), "seed": seed})
+
+
+def _models(rule=None):
+    """Row rule: the reference models for which ``rule`` holds (every one by default)."""
+    return lambda model: model is not None and (rule is None or bool(rule(model)))
+
+
+def _after_models(model) -> bool:
+    """Row rule: one pass after the reference models, for checks on 1-d laws."""
+    return model is None
+
+
+# The reference suite in report order.  Each row names a check, gives the rule
+# for the reference models it runs on, and runs it as run(model, base seed, n,
+# jobs), building its fixture first; the seed offsets from the base are part of
+# the exported reports.  Rows reach checks and solvers through this module's
+# global names when they run, so a wrapper set on the module sees every call.
+_SUITE = (
+    ("convex_hull", _models(), lambda m, s, n, jobs: _on_fixture(check_convex_hull, m, 3, n, s + 1, jobs)),
+    ("dimension_bound", _models(), lambda m, s, n, jobs: check_dimension_bound(
+        sample(m, min(n, _N_MID), s + 2), 3, seed=s + 2, restarts=5, params={"model": m.label(), "seed": s})),
+    ("kernel_orthogonality", _models(lambda m: np.any(m.lam == 0.0)), lambda m, s, n, jobs: (
+        check_kernel_orthogonality(m, 2, min(n, _N_MID), s + 3))),
+    ("eigen_span", _models(), lambda m, s, n, jobs: check_eigen_span(m, 2, 1, min(n, 100_000), s + 4, restarts=5)),
+    ("projection_self_consistency", _models(lambda m: _has_gap(m.lam)), lambda m, s, n, jobs: _on_fixture(
+        check_projection_self_consistency, m, 2, n, s + 5, jobs)),
+    ("unitary_equivariance", _models(lambda m: _has_gap(m.lam)), lambda m, s, n, jobs: _on_fixture(
+        check_unitary_equivariance, m, 2, n, s + 6, jobs,
+        np.linspace(0.5, -0.5, m.d), 2.0, random_orthogonal(m.d, s + 7))),
+    ("conditional_linearity", _models(lambda m: m.lam[-1] > 0), lambda m, s, n, jobs: check_conditional_linearity(
+        m, SubspaceSplit(u_basis=random_orthogonal(m.d, s + 8)[:1]), n, s + 8)),
+    ("mse_identity", _models(lambda m: _has_gap(m.lam) and m.lam[1] > 0), lambda m, s, n, jobs: check_mse_identity(
+        m, [*np.eye(m.d)[:2], np.eye(m.d)[:2].sum(axis=0) / math.sqrt(2.0)], n, s + 9)),
+    ("ratio_invariance", _after_models, lambda m, s, n, jobs: check_ratio_invariance(
+        NormalMixtureLaw(weights=(1.0,), scales=(1.0,)), [0.5, 2.0, 10.0], 2, label="normal")),
+    ("ratio_invariance", _after_models, lambda m, s, n, jobs: check_ratio_invariance(
+        UniformLaw(0.0, 1.0), [0.5, 2.0, 10.0], 3, label="uniform(0,1)")),
+)
+
+ALL_CHECKS = tuple(dict.fromkeys(name for name, _, _ in _SUITE))
+
+
+def reference_suite(seed: int = 0, n: int = 200_000, checks=None, jobs: int = 1) -> list[VerificationReport]:
     """Run the selected checks over the reference models.
 
     ``checks`` is a list of names from :data:`ALL_CHECKS` (default: all).
     Each check derives its own seeds from ``seed``, so runs are
-    reproducible and independent of execution order.
+    reproducible and independent of execution order.  A report's
+    ``runtime`` covers its fixture as well as its check.
     """
     selected = list(ALL_CHECKS) if checks is None else list(checks)
     unknown = [c for c in selected if c not in ALL_CHECKS]
     if unknown:
         raise UsageError(f"unknown checks: {unknown}; expected names from {ALL_CHECKS}")
 
+    passes = [(model, seed + 1000 * idx) for idx, model in enumerate(reference_models())] + [(None, seed)]
     reports: list[VerificationReport] = []
-    models = reference_models()
-    n_mid = min(n, 50_000)
-
-    def lloyd_fixture(model, k, draws_n, fixture_seed):
-        draws = sample(model, draws_n, fixture_seed)
-        points, _ = lloyd(draws, k, tol=1e-10, restarts=5, seed=fixture_seed, jobs=jobs)
-        return draws, points
-
-    for idx, model in enumerate(models):
-        base = seed + 1000 * idx
-        pinfo = {"model": model.label(), "seed": base}
-        has_kernel = bool(np.any(model.lam == 0.0))
-        gap_ok = model.lam[0] > 0 and (model.lam[0] - model.lam[1]) / model.lam[0] >= 1e-3 if model.d > 1 else True
-
-        if "convex_hull" in selected:
-            draws, points = lloyd_fixture(model, 3, n_mid, base + 1)
-            reports.append(check_convex_hull(draws, points, params={**pinfo, "seed": base + 1}))
-        if "dimension_bound" in selected:
-            draws = sample(model, n_mid, base + 2)
-            reports.append(
-                check_dimension_bound(draws, 3, seed=base + 2, restarts=5, params=pinfo)
-            )
-        if "kernel_orthogonality" in selected and has_kernel:
-            reports.append(check_kernel_orthogonality(model, 2, n_mid, base + 3))
-        if "eigen_span" in selected:
-            reports.append(check_eigen_span(model, 2, 1, min(n, 100_000), base + 4, restarts=5))
-        if "projection_self_consistency" in selected and gap_ok:
-            draws, points = lloyd_fixture(model, 2, n_mid, base + 5)
-            reports.append(
-                check_projection_self_consistency(draws, points, params={**pinfo, "seed": base + 5})
-            )
-        if "unitary_equivariance" in selected and gap_ok:
-            draws, points = lloyd_fixture(model, 2, n_mid, base + 6)
-            u_mat = random_orthogonal(model.d, base + 7)
-            nu = np.linspace(0.5, -0.5, model.d)
-            reports.append(
-                check_unitary_equivariance(
-                    draws, points, nu, 2.0, u_mat, params={**pinfo, "seed": base + 6}
-                )
-            )
-        if "conditional_linearity" in selected and float(model.lam[-1]) > 0:
-            split = _rotated_split(model.d, 1, base + 8)
-            reports.append(check_conditional_linearity(model, split, n, base + 8))
-        if "mse_identity" in selected and gap_ok and float(model.lam[1]) > 0:
-            d = model.d
-            e1 = np.eye(d)[0]
-            e2 = np.eye(d)[1]
-            mix = (e1 + e2) / math.sqrt(2.0)
-            reports.append(check_mse_identity(model, [e1, e2, mix], n, base + 9))
-
-    if "ratio_invariance" in selected:
-        reports.append(
-            check_ratio_invariance(
-                NormalMixtureLaw(weights=(1.0,), scales=(1.0,)), [0.5, 2.0, 10.0], 2, label="normal"
-            )
-        )
-        reports.append(
-            check_ratio_invariance(UniformLaw(0.0, 1.0), [0.5, 2.0, 10.0], 3, label="uniform(0,1)")
-        )
+    for model, base in passes:
+        for name, applies, run in _SUITE:
+            if name in selected and applies(model):
+                started = time.perf_counter()
+                report = run(model, base, n, jobs)
+                reports.append(replace(report, runtime=time.perf_counter() - started))
     return reports

@@ -78,17 +78,20 @@ def _count(cfg: dict, name: str, default=None, low: int = 1, high: float = math.
     return _numeric(cfg.get(name, default), f"{where}.{name}", int, lambda v: low <= v <= high, wanted)
 
 
-def _load_config(path: str) -> dict:
+def _read_json(path: str, what: str):
+    """The JSON document in the file at ``path``; failing to read or parse it is a ConfigError naming the path."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read config ({exc})") from exc
-    try:
-        payload = json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read {what} ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from exc
     except ValueError as exc:  # e.g. an integer literal longer than Python's int-string limit
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _load_config(path: str) -> dict:
+    payload = _read_json(path, "config")
     _expect(isinstance(payload, dict), f"{path}: top-level config must be an object")
     return payload
 
@@ -109,7 +112,10 @@ def _parse_basis(cfg: dict) -> Basis | None:
         )
     elif "grid_points" in raw:
         m = _count(raw, "grid_points", low=2, where="config.basis")
-        grid = np.linspace(0.0, 1.0, m).tolist()
+        try:
+            grid = np.linspace(0.0, 1.0, m).tolist()
+        except MemoryError as exc:
+            raise ConfigError(f"config.basis.grid_points: too large for this machine's memory ({exc})") from exc
     else:
         grid = None
     return make_basis(BasisSpec(family=family, dimension=dimension, grid=grid))
@@ -259,41 +265,51 @@ def _run_verify(scenario: Scenario) -> int:
         else:
             status = "FAIL"
             failed += 1
-        worst = ""
-        if r.residuals:
-            key = max(r.residuals, key=lambda k: _ratio(r.residuals[k], r.tolerances[k]))
-            worst = f" {key}={r.residuals[key]:.3g} (tol {r.tolerances[key]:.3g})"
+        key = _worst(r.residuals, r.tolerances)
+        worst = "" if key is None else f" {key}={r.residuals[key]:.3g} (tol {r.tolerances[key]:.3g})"
         print(f"[{status}] {r.name} [{r.tolerance_class}] {r.params.get('model', '')}{worst} ({r.runtime:.2f}s)")
     return _EXIT_CHECK_FAILED if failed else _EXIT_OK
 
 
-def _ratio(value: float, tol: float) -> float:
-    if tol == 0:
-        return float("inf") if value > 0 else 0.0
-    return value / tol
+def _worst(residuals: dict, tolerances: dict):
+    """The residual key farthest past its tolerance (a missing one is 0), or None if there are none."""
+
+    def ratio(key):
+        value, tol = residuals[key], tolerances.get(key, 0.0)
+        if tol == 0:
+            return float("inf") if value > 0 else 0.0
+        return value / tol
+
+    return max(residuals, key=ratio, default=None)
+
+
+def _record_fields(rec, where: str) -> tuple[dict, dict, dict]:
+    """A report record's params, residuals and tolerances, checked for the types ``report`` reads;
+    residuals and tolerances must be numbers within float range (NaN and +-inf count, bools do not)."""
+    _expect(isinstance(rec, dict), f"{where}: a JSON object required, got {rec!r}")
+    _expect(isinstance(rec.get("name", ""), str), f"{where}: name must be a string, got {rec.get('name')!r}")
+    fields = {key: rec.get(key, {}) for key in ("params", "residuals", "tolerances")}
+    for key, value in fields.items():
+        _expect(isinstance(value, dict), f"{where}: {key} must be an object, got {value!r}")
+    for key in ("residuals", "tolerances"):
+        for name, v in fields[key].items():
+            number = isinstance(v, float) or (type(v) is int and abs(v) <= sys.float_info.max)
+            _expect(number, f"{where}: {key}.{name} must be a number, got {v!r}")
+    return fields["params"], fields["residuals"], fields["tolerances"]
 
 
 def _report_rows(inputs: list[str]) -> list[dict]:
     rows = []
     for path in inputs:
-        p = Path(path)
-        if not p.exists():
+        if not Path(path).exists():
             raise ConfigError(f"{path}: input file does not exist")
-        with open(p) as f:
-            payload = json.load(f)
+        payload = _read_json(path, "verification reports")
         if not isinstance(payload, list):
             raise ConfigError(f"{path}: expected a JSON array of verification reports")
-        for rec in payload:
-            params = rec.get("params", {})
-            residuals = rec.get("residuals", {})
-            tolerances = rec.get("tolerances", {})
-            if residuals:
-                worst = max(residuals, key=lambda k: _ratio(residuals[k], tolerances.get(k, 0.0)))
-                residual = residuals[worst]
-                tol = tolerances.get(worst, "")
-            else:
-                residual = ""
-                tol = ""
+        for i, rec in enumerate(payload):
+            params, residuals, tolerances = _record_fields(rec, f"{path}: record {i}")
+            key = _worst(residuals, tolerances)
+            residual, tol = ("", "") if key is None else (residuals[key], tolerances.get(key, ""))
             passed = "flagged" if rec.get("flags") else str(bool(rec.get("passed"))).lower()
             rows.append({
                 "name": rec.get("name", ""),
@@ -353,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the scenario config (JSON)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers for restarts/checks")
+        p.add_argument("--jobs", type=int, default=1, help="parallel workers for Lloyd restarts")
     return parser
 
 
@@ -374,7 +390,7 @@ def main(argv=None) -> int:
     except SingularityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_SINGULAR
-    except (ConfigError, FunquantError, json.JSONDecodeError) as exc:
+    except (ConfigError, FunquantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except MemoryError as exc:

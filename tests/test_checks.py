@@ -1,7 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
 from funquant import (
+    ALL_CHECKS,
     EllipticalModel,
     NormalMixtureLaw,
     ScaleMixture,
@@ -267,6 +270,59 @@ class TestMseIdentity:
             check_mse_identity(gaussian_model([1.0]), [np.array([2.0])], 100, seed=0)
 
 
+# (name, model or law label, params seed) of reference_suite(seed=3, n=2000): the
+# report order and seeds are part of verification.json, so they must not drift
+SUITE_SEQUENCE_SEED3 = [
+    ("convex_hull", "gaussian|lam=(4,1,0.25)", 4),
+    ("dimension_bound", "gaussian|lam=(4,1,0.25)", 3),
+    ("eigen_span", "gaussian|lam=(4,1,0.25)", 7),
+    ("projection_self_consistency", "gaussian|lam=(4,1,0.25)", 8),
+    ("unitary_equivariance", "gaussian|lam=(4,1,0.25)", 9),
+    ("conditional_linearity", "gaussian|lam=(4,1,0.25)", 11),
+    ("mse_identity", "gaussian|lam=(4,1,0.25)", 12),
+    ("convex_hull", "t5|lam=(4,1,0.25)", 1004),
+    ("dimension_bound", "t5|lam=(4,1,0.25)", 1003),
+    ("eigen_span", "t5|lam=(4,1,0.25)", 1007),
+    ("projection_self_consistency", "t5|lam=(4,1,0.25)", 1008),
+    ("unitary_equivariance", "t5|lam=(4,1,0.25)", 1009),
+    ("conditional_linearity", "t5|lam=(4,1,0.25)", 1011),
+    ("mse_identity", "t5|lam=(4,1,0.25)", 1012),
+    ("convex_hull", "gaussian|lam=(1,1,1)", 2004),
+    ("dimension_bound", "gaussian|lam=(1,1,1)", 2003),
+    ("eigen_span", "gaussian|lam=(1,1,1)", 2007),
+    ("conditional_linearity", "gaussian|lam=(1,1,1)", 2011),
+    ("convex_hull", "t5|lam=(1,1,1)", 3004),
+    ("dimension_bound", "t5|lam=(1,1,1)", 3003),
+    ("eigen_span", "t5|lam=(1,1,1)", 3007),
+    ("conditional_linearity", "t5|lam=(1,1,1)", 3011),
+    ("convex_hull", "gaussian|lam=(1,0)", 4004),
+    ("dimension_bound", "gaussian|lam=(1,0)", 4003),
+    ("kernel_orthogonality", "gaussian|lam=(1,0)", 4006),
+    ("eigen_span", "gaussian|lam=(1,0)", 4007),
+    ("projection_self_consistency", "gaussian|lam=(1,0)", 4008),
+    ("unitary_equivariance", "gaussian|lam=(1,0)", 4009),
+    ("convex_hull", "t5|lam=(1,0)", 5004),
+    ("dimension_bound", "t5|lam=(1,0)", 5003),
+    ("kernel_orthogonality", "t5|lam=(1,0)", 5006),
+    ("eigen_span", "t5|lam=(1,0)", 5007),
+    ("projection_self_consistency", "t5|lam=(1,0)", 5008),
+    ("unitary_equivariance", "t5|lam=(1,0)", 5009),
+    ("ratio_invariance", "normal", None),
+    ("ratio_invariance", "uniform(0,1)", None),
+]
+
+
+def suite_keys(reports):
+    return [(r.name, r.params.get("model", r.params.get("law")), r.params.get("seed")) for r in reports]
+
+
+@pytest.fixture(scope="module")
+def small_suite():
+    started = time.perf_counter()
+    reports = reference_suite(seed=3, n=2000)
+    return reports, time.perf_counter() - started
+
+
 class TestReferenceSuite:
     def test_models_cover_reference_grid(self):
         models = reference_models()
@@ -284,6 +340,21 @@ class TestReferenceSuite:
         ]
         flagged = [r for r in reports if r.flags]
         assert any("degenerate-spectrum" in r.flags for r in flagged)
+
+    def test_report_sequence_is_pinned(self, small_suite):
+        reports, _ = small_suite
+        assert suite_keys(reports) == SUITE_SEQUENCE_SEED3
+        assert sorted(ALL_CHECKS) == sorted({key[0] for key in SUITE_SEQUENCE_SEED3})
+
+    def test_check_subset_keeps_the_suite_order(self):
+        subset = ["ratio_invariance", "kernel_orthogonality", "unitary_equivariance", "dimension_bound"]
+        reports = reference_suite(seed=3, n=2000, checks=subset)
+        assert suite_keys(reports) == [key for key in SUITE_SEQUENCE_SEED3 if key[0] in subset]
+
+    def test_report_runtimes_cover_the_suite_wall_time(self, small_suite):
+        # each report's runtime includes the Lloyd fixture its check runs on
+        reports, wall = small_suite
+        assert sum(r.runtime for r in reports) >= 0.95 * wall
 
     def test_unknown_check_rejected(self):
         with pytest.raises(UsageError):

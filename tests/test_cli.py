@@ -238,6 +238,47 @@ class TestReport:
         assert result.returncode == 2
         assert "does not exist" in result.stderr
 
+    @pytest.mark.parametrize(
+        "content, record",
+        [
+            pytest.param('{"name": "convex_hull"}', None, id="object-top-level"),
+            pytest.param("[", None, id="invalid-json"),
+            pytest.param(b"\xff\xfe[]", None, id="not-utf8"),
+            pytest.param(None, None, id="directory"),
+            pytest.param("[1]", 0, id="record-not-object"),
+            pytest.param('[{"name": "a"}, {"params": [1]}]', 1, id="params-not-object"),
+            pytest.param('[{"residuals": "abc"}]', 0, id="residuals-not-object"),
+            pytest.param('[{"residuals": {"r": 1.0}, "tolerances": null}]', 0, id="tolerances-not-object"),
+            pytest.param('[{"residuals": {"r": "abc"}}]', 0, id="string-residual"),
+            pytest.param('[{"residuals": {"r": true}, "tolerances": {"r": 1.0}}]', 0, id="bool-residual"),
+            pytest.param('[{"residuals": {"r": 1' + "0" * 400 + '}}]', 0, id="residual-out-of-float-range"),
+            pytest.param('[{"residuals": {"r": 1.0}, "tolerances": {"r": "1e-3"}}]', 0, id="string-tolerance"),
+            pytest.param('[{"residuals": {"r": 1.0}, "tolerances": {"r": false}}]', 0, id="bool-tolerance"),
+            pytest.param('[{"name": "a"}, {}, {"name": 7}]', 2, id="name-not-string"),
+        ],
+    )
+    def test_malformed_input_exits_2_naming_path_and_record(self, tmp_path, capsys, content, record):
+        path = tmp_path / "reports.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        cfg = write_config(tmp_path, {"task": "report", "inputs": [str(path)]})
+        code = main(["report", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith(f"error: {path}")
+        if record is not None:
+            assert err.startswith(f"error: {path}: record {record}: ")
+
+    def test_non_finite_residuals_and_tolerances_are_legal(self, tmp_path):
+        path = tmp_path / "reports.json"
+        path.write_text('[{"name": "a", "residuals": {"r": NaN}, "tolerances": {"r": Infinity}}]')
+        cfg = write_config(tmp_path, {"task": "report", "inputs": [str(path)]})
+        assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "report.csv").read_text().splitlines()[1] == "a,,,,nan,inf,false"
+
 
 class TestSchemaErrors:
     def test_invalid_json_reports_line(self, tmp_path):
@@ -287,6 +328,9 @@ class TestSchemaErrors:
                 + ', "basis": {"dimension": true}', "config.basis.dimension", id="kmeans-d1-bool-dimension",
             ),
             ("kmeans", '"basis": {"grid_points": true}', "config.basis.grid_points"),
+            # 7.11 PiB of grid: the allocation fails at once, so no memory is used
+            pytest.param("kmeans", '"basis": {"grid_points": 1000000000000000}', "config.basis.grid_points",
+                         id="kmeans-unallocatable-grid-points"),
         ],
     )
     def test_typed_fields_exit_2_with_anchored_message(self, tmp_path, capsys, task, field, where):
@@ -306,6 +350,14 @@ class TestSchemaErrors:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert f"error: {cfg}: invalid JSON" in result.stderr
+
+    def test_non_utf8_config_exits_2_naming_the_path(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes('{"n": 50, "seed": 0, "note": "é"}'.encode("latin-1"))
+        result = run_cli("verify", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert f"error: {cfg}: cannot read config" in result.stderr
 
     @pytest.mark.parametrize("task", ["simulate", "kmeans"])
     def test_unallocatable_n_exits_2_without_traceback(self, tmp_path, task):
@@ -367,8 +419,9 @@ def _mutate(cfg, rng):
         ("closed-form", {"task": "closed-form", "model": MODEL, "seed": 0,
                          "basis": {"family": "fourier-on-[0,1]", "dimension": 3, "grid": [0.0, 0.5, 1.0],
                                    "grid_points": 5}}),
+        ("estimate", {"task": "estimate", "model": MODEL, "n": 20, "seed": 0}),
     ],
-    ids=["closed-form-t", "closed-form-two-point", "simulate", "closed-form-basis"],
+    ids=["closed-form-t", "closed-form-two-point", "simulate", "closed-form-basis", "estimate"],
 )
 def test_fuzzed_configs_exit_with_a_documented_code(tmp_path, capsys, task, base):
     # Seeded mutations of field types and values; any uncaught exception fails the test.
