@@ -88,11 +88,11 @@ class Basis:
     def d(self) -> int:
         return self.dimension
 
-    def design_matrix(self, grid=None) -> np.ndarray:
-        """Evaluate all basis functions on a grid, returning an (m, d) matrix."""
+    def design_matrix(self) -> np.ndarray:
+        """Evaluate all basis functions on the basis grid, returning an (m, d) matrix."""
         if self.family == SYNTHETIC:
             return np.eye(self.dimension)
-        t = np.asarray(self.grid if grid is None else grid, dtype=float)
+        t = self.grid
         cols = np.empty((t.size, self.dimension))
         cols[:, 0] = 1.0
         for j in range(1, self.dimension):
@@ -103,19 +103,19 @@ class Basis:
                 cols[:, j] = np.sqrt(2.0) * np.sin(freq * t)
         return cols
 
-    def to_curve(self, coeffs, grid=None) -> np.ndarray:
-        """Render a coefficient vector as function values on the grid."""
+    def to_curve(self, coeffs) -> np.ndarray:
+        """Render a coefficient vector as function values on the basis grid."""
         c = as_coeffs(coeffs, self.dimension)
         if self.family == SYNTHETIC:
             return c.copy()
-        return self.design_matrix(grid) @ c
+        return self.design_matrix() @ c
 
-    def gram(self, grid=None) -> np.ndarray:
-        """Gram matrix of the evaluated basis via trapezoidal quadrature."""
+    def gram(self) -> np.ndarray:
+        """Gram matrix of the basis evaluated on its grid, via trapezoidal quadrature."""
         if self.family == SYNTHETIC:
             return np.eye(self.dimension)
-        t = np.asarray(self.grid if grid is None else grid, dtype=float)
-        phi = self.design_matrix(t)
+        t = self.grid
+        phi = self.design_matrix()
         f = phi[:, :, None] * phi[:, None, :]
         return (np.diff(t)[:, None, None] * (f[1:] + f[:-1])).sum(axis=0) / 2.0
 
@@ -158,17 +158,23 @@ def truncate(v, k: int) -> np.ndarray:
     return out
 
 
+def fix_signs(vecs: np.ndarray) -> np.ndarray:
+    """Copy of ``vecs`` with each column's first entry above 1e-12 in magnitude made positive."""
+    vecs = vecs.copy()
+    for j in range(vecs.shape[1]):
+        idx = np.flatnonzero(np.abs(vecs[:, j]) > 1e-12)
+        if idx.size and vecs[idx[0], j] < 0:
+            vecs[:, j] = -vecs[:, j]
+    return vecs
+
+
 def _orthonormal_completion(u_basis: np.ndarray) -> np.ndarray:
     # Rows spanning the orthogonal complement, from the right singular
-    # vectors of the input; signs fixed for determinism.
-    q, d = u_basis.shape
+    # vectors of the input; signs fixed for determinism, rows kept
+    # contiguous as the SVD returns them.
+    q = u_basis.shape[0]
     _, _, vt = np.linalg.svd(u_basis, full_matrices=True)
-    comp = vt[q:]
-    for i in range(comp.shape[0]):
-        idx = np.flatnonzero(np.abs(comp[i]) > 1e-12)
-        if idx.size and comp[i, idx[0]] < 0:
-            comp[i] = -comp[i]
-    return comp
+    return np.ascontiguousarray(fix_signs(vt[q:].T).T)
 
 
 @dataclass(frozen=True)
@@ -233,14 +239,14 @@ def random_orthogonal(d: int, seed: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def write_curve_csv(path, basis: Basis, coeffs, grid=None) -> None:
-    """Export a coefficient vector as a ``t,value`` CSV on the basis grid."""
-    if basis.family == SYNTHETIC:
-        t = np.arange(basis.dimension, dtype=float)
-        values = basis.to_curve(coeffs)
-    else:
-        t = np.asarray(basis.grid if grid is None else grid, dtype=float)
-        values = basis.to_curve(coeffs, t)
+def write_curve_csv(path, basis: Basis, coeffs) -> None:
+    """Export a coefficient vector as a ``t,value`` CSV on the basis grid.
+
+    A synthetic basis has no grid: its rows are the coordinate indices
+    0..d-1 and the coefficients themselves.
+    """
+    t = np.arange(basis.dimension, dtype=float) if basis.family == SYNTHETIC else basis.grid
+    values = basis.to_curve(coeffs)
     lines = ["t,value"]
     lines.extend(f"{fmt12(ti)},{fmt12(vi)}" for ti, vi in zip(t, values))
     atomic_write(path, "\n".join(lines) + "\n")

@@ -2,11 +2,14 @@
 
 Each check measures residuals against stated tolerances and returns a
 structured :class:`VerificationReport`; a failing check reports
-``passed=False`` instead of raising, so suites can aggregate.  Tolerances
-fall into three classes, recorded per report: ``exact-algebra`` (1e-10
-scale, identities that hold up to rounding), ``quadrature`` (1e-6..1e-4,
-limited by the one-dimensional solver), and ``monte-carlo`` (standard-error
-multiples or relative percentages, limited by sampling).
+``passed=False`` instead of raising, so suites can aggregate.  Apart from
+``tol_kernel`` and ``angle_tol``, each check's tolerances are fixed
+constants stated in its docstring, and every report records the tolerances
+it was judged by.  They fall into three classes, recorded per report:
+``exact-algebra`` (1e-10 scale, identities that hold up to rounding),
+``quadrature`` (1e-6..1e-4, limited by the one-dimensional solver), and
+``monte-carlo`` (standard-error multiples or relative percentages, limited
+by sampling).
 
 Checks whose preconditions cannot be decided from data (for example span
 comparisons under a nearly degenerate spectrum) come back flagged rather
@@ -139,14 +142,14 @@ def check_unitary_equivariance(
     nu: np.ndarray,
     rho: float,
     u_mat: np.ndarray,
-    fixed_point_tol: float = 1e-8,
     params: dict | None = None,
 ) -> VerificationReport:
     """Similarity transforms x -> nu + rho U x carry fixed points to fixed points.
 
-    The mean squared error scales by exactly rho^2, the self-consistency
-    residual by |rho|, and re-running the solver from the transformed set
-    leaves it in place.
+    The mean squared error scales by exactly rho^2 and the self-consistency
+    residual by |rho| (both to 1e-10), and re-running the solver from the
+    transformed set (stopping tolerance 1e-8) moves no point by more than
+    max(1e-8, 10 times the transformed residual).
     """
     started = time.perf_counter()
     if rho == 0:
@@ -157,6 +160,7 @@ def check_unitary_equivariance(
         raise ShapeError(f"transform matrix is not orthogonal (deviation {dev:.2e})")
     samples = np.asarray(samples, dtype=float)
     nu = np.asarray(nu, dtype=float)
+    fixed_point_tol = 1e-8
 
     samples2 = nu + rho * (samples @ u_mat.T)
     w2 = PointSet(nu + rho * (w.points @ u_mat.T))
@@ -189,15 +193,14 @@ def check_kernel_orthogonality(
     n: int,
     seed: int,
     tol_kernel: float = 1e-8,
-    restarts: int = 5,
 ) -> VerificationReport:
-    """Fixed points carry no weight on zero-eigenvalue coordinates."""
+    """Fixed points carry no weight on zero-eigenvalue coordinates (best of 5 Lloyd restarts)."""
     started = time.perf_counter()
     kernel = np.flatnonzero(model.lam == 0.0)
     if kernel.size == 0:
         raise UsageError("model has no zero eigenvalues; nothing to check")
     draws = sample(model, n, seed)
-    points, _ = lloyd(draws, k, tol=1e-10, restarts=restarts, seed=seed)
+    points, _ = lloyd(draws, k, tol=1e-10, restarts=5, seed=seed)
     residual = float(np.abs(points.points[:, kernel]).max())
     p = {"model": model.label(), "n": n, "seed": seed, "k": k}
     return _finish(
@@ -206,30 +209,28 @@ def check_kernel_orthogonality(
     )
 
 
-def span_rank(
-    svals: np.ndarray, cutoff: float = 1e-6, window: tuple[float, float] = (1e-7, 1e-5)
-) -> tuple[int, bool]:
+def span_rank(svals: np.ndarray) -> tuple[int, bool]:
     """Rank of a span from singular values, with an ambiguity verdict.
 
-    The rank counts singular values above ``cutoff`` times the largest one;
-    a value falling inside ``window`` (relative) sits too close to the
+    The rank counts singular values above 1e-6 times the largest one; a
+    value between 1e-7 and 1e-5 of the largest sits too close to that
     cutoff to call, so the result is marked ambiguous.
     """
     svals = np.asarray(svals, dtype=float)
     if svals.size == 0 or svals[0] <= 0:
         return 0, False
     ratios = svals / svals[0]
-    rank = int((ratios > cutoff).sum())
-    ambiguous = bool(np.any((ratios > window[0]) & (ratios < window[1])))
+    rank = int((ratios > 1e-6).sum())
+    ambiguous = bool(np.any((ratios > 1e-7) & (ratios < 1e-5)))
     return rank, ambiguous
 
 
-def _has_gap(lam: np.ndarray, q: int = 1, tol: float = 1e-3) -> bool:
-    """Whether ``lam`` falls by ``tol`` of its top value or more after its q-th value (or ends there)."""
+def _has_gap(lam: np.ndarray, q: int = 1) -> bool:
+    """Whether ``lam`` falls by 1e-3 of its top value or more after its q-th value (or ends there)."""
     if q >= lam.size:
         return True
     top = float(lam[0]) if lam[0] > 0 else 1.0
-    return float(lam[q - 1] - lam[q]) / top >= tol
+    return float(lam[q - 1] - lam[q]) / top >= 1e-3
 
 
 def check_eigen_span(
@@ -241,19 +242,19 @@ def check_eigen_span(
     rotation: np.ndarray | None = None,
     restarts: int = 10,
     angle_tol: float = 0.1,
-    gap_tol: float = 1e-3,
 ) -> VerificationReport:
     """Centered fixed points span leading eigendirections.
 
     The span's rank is read off the singular values of the centered point
-    matrix (cutoff 1e-6 of the top one); its principal angles against the
-    top-q model eigendirections must stay below ``angle_tol``.  Models
-    without a clear spectral gap at q, and runs where a singular value sits
-    near the rank cutoff, are flagged indeterminate instead of failed.
+    matrix by :func:`span_rank` and must equal ``q_expected`` exactly; its
+    principal angles against the top-q model eigendirections must stay
+    below ``angle_tol``.  Models whose spectrum falls by less than 1e-3 of
+    its top value after the q-th value, and runs where a singular value
+    sits near the rank cutoff, are flagged indeterminate instead of failed.
     """
     started = time.perf_counter()
     p = {"model": model.label(), "n": n, "seed": seed, "k": k, "q_expected": q_expected}
-    if not _has_gap(model.lam, q_expected, gap_tol):
+    if not _has_gap(model.lam, q_expected):
         return _finish(
             "eigen_span", p, {}, {}, MONTE_CARLO, ("degenerate-spectrum",), started
         )
@@ -302,12 +303,13 @@ def check_dimension_bound(
 
 
 def check_projection_self_consistency(
-    samples: np.ndarray, w: PointSet, tol: float = 1e-8, params: dict | None = None
+    samples: np.ndarray, w: PointSet, params: dict | None = None
 ) -> VerificationReport:
     """Projecting onto the span of a fixed point preserves the fixed point.
 
     Distances to in-span points decompose orthogonally, so assignments are
-    unchanged and the projected residual cannot exceed the original one.
+    unchanged and the projected residual cannot exceed the original one
+    (up to a relative 1e-9 plus 1e-12, with a floor of 1e-8).
     """
     started = time.perf_counter()
     samples = np.asarray(samples, dtype=float)
@@ -324,7 +326,7 @@ def check_projection_self_consistency(
     res_before = self_consistency_residual(samples, w)
     res_after = self_consistency_residual(proj_samples, proj_points)
     residuals = {"projected_residual": res_after}
-    tolerances = {"projected_residual": max(tol, res_before * (1.0 + 1e-9) + 1e-12)}
+    tolerances = {"projected_residual": max(1e-8, res_before * (1.0 + 1e-9) + 1e-12)}
     p = {"n": samples.shape[0], "k": w.k, "span_dim": rank, **(params or {})}
     return _finish("projection_self_consistency", p, residuals, tolerances, EXACT, (), started)
 
@@ -334,13 +336,16 @@ def check_conditional_linearity(
     split: SubspaceSplit,
     n: int,
     seed: int,
-    rel_tol: float = 0.05,
-    se_mult: float = 4.0,
-    bins: int = 10,
 ) -> VerificationReport:
     """Least-squares slope of the complement block on the subspace block
     matches the analytic regression operator; binned conditional means sit
-    on the analytic line."""
+    on the analytic line.
+
+    The slope must match to 5% relative Frobenius error, or, where the
+    analytic slope is zero, stay within 4 standard errors of zero.  The
+    means over 10 quantile bins of the first subspace coordinate must each
+    sit within 4 standard errors of the line (bins under 10 draws skipped).
+    """
     started = time.perf_counter()
     slope = conditional_slope(model, split)
     draws = sample(model, n, seed)
@@ -365,14 +370,15 @@ def check_conditional_linearity(
     norm_b = float(np.linalg.norm(slope))
     if norm_b > 1e-10:
         residuals["slope_rel_frobenius"] = float(np.linalg.norm(slope_hat - slope)) / norm_b
-        tolerances["slope_rel_frobenius"] = rel_tol
+        tolerances["slope_rel_frobenius"] = 0.05
     else:
         # analytic slope is zero (up to rounding): the estimate must be noise
         residuals["slope_max_z"] = float(np.max(np.abs(slope_hat) / se))
-        tolerances["slope_max_z"] = se_mult
+        tolerances["slope_max_z"] = 4.0
 
     mu1 = split.u_basis @ model.mu
     mu2 = split.complement @ model.mu
+    bins = 10
     edges = np.quantile(w1[:, 0], np.linspace(0.0, 1.0, bins + 1))
     max_z = 0.0
     for b in range(bins):
@@ -386,16 +392,14 @@ def check_conditional_linearity(
         bin_se = w2[mask].std(axis=0, ddof=1) / math.sqrt(count)
         max_z = max(max_z, float(np.max(np.abs(observed - pred) / bin_se)))
     residuals["binned_mean_max_z"] = max_z
-    tolerances["binned_mean_max_z"] = se_mult
+    tolerances["binned_mean_max_z"] = 4.0
 
     p = {"model": model.label(), "n": n, "seed": seed, "q": split.q}
     return _finish("conditional_linearity", p, residuals, tolerances, MONTE_CARLO, (), started)
 
 
-def check_ratio_invariance(
-    law: UnivariateLaw, rhos, k: int, tol: float = 1e-6, label: str = ""
-) -> VerificationReport:
-    """The scale-free quantization ratio D(k)/Var is invariant under scaling."""
+def check_ratio_invariance(law: UnivariateLaw, rhos, k: int, label: str = "") -> VerificationReport:
+    """The scale-free quantization ratio D(k)/Var is invariant under scaling (spread at most 1e-6)."""
     started = time.perf_counter()
     rhos = [float(r) for r in rhos]
     if any(r == 0 for r in rhos):
@@ -407,7 +411,7 @@ def check_ratio_invariance(
 
     values = [ratio(law)] + [ratio(law.scaled(r)) for r in rhos]
     residuals = {"ratio_spread": float(max(values) - min(values))}
-    tolerances = {"ratio_spread": tol}
+    tolerances = {"ratio_spread": 1e-6}
     p = {"law": label or type(law).__name__, "k": k, "rhos": rhos}
     return _finish("ratio_invariance", p, residuals, tolerances, QUADRATURE, (), started)
 
@@ -417,10 +421,13 @@ def check_mse_identity(
     directions,
     n: int,
     seed: int,
-    rel_tol: float = 0.02,
 ) -> VerificationReport:
     """Two-point quantization error along a unit direction a equals
-    trace(Cov) - (1 - g) <a, Cov a>, minimized at the top eigendirection."""
+    trace(Cov) - (1 - g) <a, Cov a>, minimized at the top eigendirection.
+
+    Each direction's measured error must match the identity to 2%, and the
+    measured and predicted minimizing directions must be the same one.
+    """
     started = time.perf_counter()
     g = g_constant(model)
     ez2 = model.mixture.second_moment()
@@ -444,7 +451,7 @@ def check_mse_identity(
         measured.append(mse)
         predicted.append(pred)
         residuals[f"identity_rel_error_{i}"] = abs(mse / pred - 1.0)
-        tolerances[f"identity_rel_error_{i}"] = rel_tol
+        tolerances[f"identity_rel_error_{i}"] = 0.02
     residuals["argmin_mismatch"] = float(int(np.argmin(measured)) != int(np.argmin(predicted)))
     tolerances["argmin_mismatch"] = 0.0
 
@@ -488,7 +495,7 @@ def _after_models(model) -> bool:
 _SUITE = (
     ("convex_hull", _models(), lambda m, s, n, jobs: _on_fixture(check_convex_hull, m, 3, n, s + 1, jobs)),
     ("dimension_bound", _models(), lambda m, s, n, jobs: check_dimension_bound(
-        sample(m, min(n, _N_MID), s + 2), 3, seed=s + 2, restarts=5, params={"model": m.label(), "seed": s})),
+        sample(m, min(n, _N_MID), s + 2), 3, seed=s + 2, restarts=5, params={"model": m.label()})),
     ("kernel_orthogonality", _models(lambda m: np.any(m.lam == 0.0)), lambda m, s, n, jobs: (
         check_kernel_orthogonality(m, 2, min(n, _N_MID), s + 3))),
     ("eigen_span", _models(), lambda m, s, n, jobs: check_eigen_span(m, 2, 1, min(n, 100_000), s + 4, restarts=5)),

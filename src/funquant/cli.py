@@ -152,9 +152,9 @@ def _parse_scenario(task: str, cfg: dict, args) -> Scenario:
     if task == "kmeans":
         scenario.k = _count(cfg, "k")
         _expect(scenario.k <= scenario.n, f"config.k: k={scenario.k} exceeds n={scenario.n}")
-        scenario.restarts = _count(cfg, "restarts", 10)
-        scenario.tol = _numeric(cfg.get("tol", 1e-8), "config.tol", float, lambda v: v > 0, "positive number")
-        scenario.max_iter = _count(cfg, "max_iter", 300)
+        scenario.restarts = _count(cfg, "restarts", scenario.restarts)
+        scenario.tol = _numeric(cfg.get("tol", scenario.tol), "config.tol", float, lambda v: v > 0, "positive number")
+        scenario.max_iter = _count(cfg, "max_iter", scenario.max_iter)
 
     if task == "verify":
         checks = cfg.get("checks")

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .basis import fix_signs
 from .errors import InsufficientDataError, ShapeError, UsageError
 from ._io import write_json
 
@@ -37,16 +38,6 @@ class CovarianceEstimate:
         return self.eigvecs[:, :q]
 
 
-def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    # First coefficient with magnitude above 1e-12 made positive, per column.
-    vecs = vecs.copy()
-    for j in range(vecs.shape[1]):
-        idx = np.flatnonzero(np.abs(vecs[:, j]) > 1e-12)
-        if idx.size and vecs[idx[0], j] < 0:
-            vecs[:, j] = -vecs[:, j]
-    return vecs
-
-
 def estimate(samples: np.ndarray) -> CovarianceEstimate:
     """Moment estimates from an (n, d) coefficient matrix.
 
@@ -69,7 +60,7 @@ def estimate(samples: np.ndarray) -> CovarianceEstimate:
     w, v = np.linalg.eigh(cov_hat)
     order = np.argsort(w)[::-1]
     w = np.clip(w[order], 0.0, None)
-    v = _fix_signs(v[:, order])
+    v = fix_signs(v[:, order])
     gaps = w[:-1] - w[1:]
     degenerate = tuple(
         (i, i + 1) for i, g in enumerate(gaps) if w[0] > 0 and g < 1e-8 * w[0]

@@ -365,12 +365,7 @@ def _solver_step(law: UnivariateLaw, y: np.ndarray) -> np.ndarray:
     return np.divide(m1, m0, out=y.copy(), where=m0 > 1e-300)
 
 
-def univariate_principal_points(
-    law: UnivariateLaw,
-    k: int,
-    tol: float | None = None,
-    max_iter: int = 500,
-) -> np.ndarray:
+def univariate_principal_points(law: UnivariateLaw, k: int) -> np.ndarray:
     """Best k-point quantizer of a one-dimensional law, by Newton's method.
 
     Cell boundaries are midpoints of adjacent points, and at the solution
@@ -382,10 +377,9 @@ def univariate_principal_points(
     not positive definite, or the step would break the points' order, the
     iteration makes one Lloyd-Max step instead (each point to its cell
     mean; a cell with mass below 1e-300 keeps its point).  Iteration stops
-    when no point moves by ``tol`` or more (default 1e-12 standard
-    deviations), or after ``max_iter`` steps.  Several deterministic
-    quantile-spread starts are run and the one with the lowest expected
-    squared distance wins.
+    when no point moves by 1e-12 standard deviations or more, or after
+    500 steps.  Several deterministic quantile-spread starts are run and
+    the one with the lowest expected squared distance wins.
     """
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
@@ -394,8 +388,7 @@ def univariate_principal_points(
     scale = float(np.sqrt(law.variance))
     if not scale > 0:
         raise UsageError("law has zero variance; quantizer is degenerate")
-    if tol is None:
-        tol = 1e-12 * max(scale, 1e-12)
+    tol = 1e-12 * max(scale, 1e-12)
 
     base = (np.arange(k) + 0.5) / k
     eps = 1e-4
@@ -410,7 +403,7 @@ def univariate_principal_points(
     for levels in level_sets:
         y = np.array([law.quantile(p) for p in levels])
         y.sort()
-        for _ in range(max_iter):
+        for _ in range(500):
             new = _solver_step(law, y)
             shift = np.abs(new - y).max()
             y = new

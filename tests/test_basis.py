@@ -146,3 +146,13 @@ def test_curve_csv_format(tmp_path):
     t, value = map(float, lines[1].split(","))
     assert t == 0.0
     assert value == pytest.approx(1.0 + 0.5 * np.sqrt(2.0), rel=1e-11)
+
+
+def test_synthetic_curve_csv_lists_coordinates(tmp_path):
+    coeffs = [1.0, -0.5, 0.25, 0.0]
+    path = tmp_path / "curve.csv"
+    write_curve_csv(path, make_basis(BasisSpec(family=SYNTHETIC, dimension=4)), coeffs)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,value"
+    rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    assert rows == [(float(i), c) for i, c in enumerate(coeffs)]

@@ -272,37 +272,89 @@ class TestMseIdentity:
 
 # (name, model or law label, params seed) of reference_suite(seed=3, n=2000): the
 # report order and seeds are part of verification.json, so they must not drift
+class TestRecordedTolerances:
+    """Each check's tolerances are fixed constants; pin the values its report records."""
+
+    def test_conditional_linearity(self):
+        model = gaussian_model([4.0, 1.0, 0.25])
+        aligned = check_conditional_linearity(model, SubspaceSplit(u_basis=np.eye(3)[:1]), 2000, seed=40)
+        assert aligned.tolerances == {"slope_max_z": 4.0, "binned_mean_max_z": 4.0}
+        rotated = SubspaceSplit(u_basis=random_orthogonal(3, seed=40)[:1])
+        report = check_conditional_linearity(model, rotated, 2000, seed=40)
+        assert report.tolerances == {"slope_rel_frobenius": 0.05, "binned_mean_max_z": 4.0}
+
+    def test_mse_identity(self):
+        report = check_mse_identity(gaussian_model([4.0, 1.0]), list(np.eye(2)), 2000, seed=41)
+        assert report.tolerances == {
+            "identity_rel_error_0": 0.02, "identity_rel_error_1": 0.02, "argmin_mismatch": 0.0,
+        }
+
+    def test_ratio_invariance(self):
+        report = check_ratio_invariance(UniformLaw(0.0, 1.0), [2.0], 2)
+        assert report.tolerances == {"ratio_spread": 1e-6}
+
+    def test_eigen_span(self):
+        report = check_eigen_span(gaussian_model([4.0, 1.0, 0.25]), 2, 1, 5000, seed=42)
+        assert report.flags == ()
+        assert report.tolerances == {"max_angle": 0.1, "rank_deviation": 0.0}
+
+    @pytest.mark.parametrize("drop, flagged", [(0.9e-3, True), (1.1e-3, False)])
+    def test_eigen_span_gap_threshold_is_1e_3_of_the_top_eigenvalue(self, drop, flagged):
+        report = check_eigen_span(gaussian_model([1.0, 1.0 - drop]), 2, 1, 2000, seed=42)
+        assert (report.flags == ("degenerate-spectrum",)) == flagged
+
+    def test_kernel_orthogonality(self):
+        report = check_kernel_orthogonality(gaussian_model([1.0, 0.0]), 2, 2000, seed=43)
+        assert report.tolerances == {"kernel_magnitude": 1e-8}
+
+    def test_dimension_bound(self):
+        report = check_dimension_bound(sample(gaussian_model([2.0, 1.0]), 2000, seed=44), 2, seed=44)
+        assert report.tolerances == {"rank_excess": 0.0}
+
+    def test_unitary_equivariance(self):
+        draws, points = fixed_point(gaussian_model([4.0, 1.0]), 2, 2000, seed=45)
+        report = check_unitary_equivariance(draws, points, np.zeros(2), 2.0, random_orthogonal(2, seed=45))
+        assert report.tolerances["mse_scaling"] == 1e-10
+        assert report.tolerances["residual_scaling"] == 1e-10
+        assert report.tolerances["lloyd_movement"] >= 1e-8
+
+    def test_projection_self_consistency(self):
+        draws, points = fixed_point(gaussian_model([4.0, 1.0]), 2, 2000, seed=46, tol=1e-13)
+        report = check_projection_self_consistency(draws, points)
+        assert report.tolerances["projected_residual"] >= 1e-8
+
+
 SUITE_SEQUENCE_SEED3 = [
     ("convex_hull", "gaussian|lam=(4,1,0.25)", 4),
-    ("dimension_bound", "gaussian|lam=(4,1,0.25)", 3),
+    ("dimension_bound", "gaussian|lam=(4,1,0.25)", 5),
     ("eigen_span", "gaussian|lam=(4,1,0.25)", 7),
     ("projection_self_consistency", "gaussian|lam=(4,1,0.25)", 8),
     ("unitary_equivariance", "gaussian|lam=(4,1,0.25)", 9),
     ("conditional_linearity", "gaussian|lam=(4,1,0.25)", 11),
     ("mse_identity", "gaussian|lam=(4,1,0.25)", 12),
     ("convex_hull", "t5|lam=(4,1,0.25)", 1004),
-    ("dimension_bound", "t5|lam=(4,1,0.25)", 1003),
+    ("dimension_bound", "t5|lam=(4,1,0.25)", 1005),
     ("eigen_span", "t5|lam=(4,1,0.25)", 1007),
     ("projection_self_consistency", "t5|lam=(4,1,0.25)", 1008),
     ("unitary_equivariance", "t5|lam=(4,1,0.25)", 1009),
     ("conditional_linearity", "t5|lam=(4,1,0.25)", 1011),
     ("mse_identity", "t5|lam=(4,1,0.25)", 1012),
     ("convex_hull", "gaussian|lam=(1,1,1)", 2004),
-    ("dimension_bound", "gaussian|lam=(1,1,1)", 2003),
+    ("dimension_bound", "gaussian|lam=(1,1,1)", 2005),
     ("eigen_span", "gaussian|lam=(1,1,1)", 2007),
     ("conditional_linearity", "gaussian|lam=(1,1,1)", 2011),
     ("convex_hull", "t5|lam=(1,1,1)", 3004),
-    ("dimension_bound", "t5|lam=(1,1,1)", 3003),
+    ("dimension_bound", "t5|lam=(1,1,1)", 3005),
     ("eigen_span", "t5|lam=(1,1,1)", 3007),
     ("conditional_linearity", "t5|lam=(1,1,1)", 3011),
     ("convex_hull", "gaussian|lam=(1,0)", 4004),
-    ("dimension_bound", "gaussian|lam=(1,0)", 4003),
+    ("dimension_bound", "gaussian|lam=(1,0)", 4005),
     ("kernel_orthogonality", "gaussian|lam=(1,0)", 4006),
     ("eigen_span", "gaussian|lam=(1,0)", 4007),
     ("projection_self_consistency", "gaussian|lam=(1,0)", 4008),
     ("unitary_equivariance", "gaussian|lam=(1,0)", 4009),
     ("convex_hull", "t5|lam=(1,0)", 5004),
-    ("dimension_bound", "t5|lam=(1,0)", 5003),
+    ("dimension_bound", "t5|lam=(1,0)", 5005),
     ("kernel_orthogonality", "t5|lam=(1,0)", 5006),
     ("eigen_span", "t5|lam=(1,0)", 5007),
     ("projection_self_consistency", "t5|lam=(1,0)", 5008),
