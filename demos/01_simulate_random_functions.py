@@ -9,7 +9,6 @@ installed a comparison figure lands next to the CSVs.
 import numpy as np
 
 from funquant import (
-    BasisSpec,
     EllipticalModel,
     ScaleMixture,
     covariance_operator,
@@ -22,7 +21,7 @@ OUT = "demo_output/simulate"
 
 d = 5
 lam = np.array([4.0, 2.0, 1.0, 0.5, 0.25])
-basis = make_basis(BasisSpec(family="fourier-on-[0,1]", dimension=d, grid=np.linspace(0, 1, 201)))
+basis = make_basis(family="fourier-on-[0,1]", dimension=d, grid=np.linspace(0, 1, 201))
 
 for name, mixture in [("gaussian", ScaleMixture.gaussian()), ("t5", ScaleMixture.student_t(5.0))]:
     model = EllipticalModel(mu=np.zeros(d), lam=lam, mixture=mixture)

@@ -12,15 +12,9 @@ __version__ = "0.1.0"
 
 from .basis import (
     Basis,
-    BasisSpec,
     SubspaceSplit,
-    inner_product,
     make_basis,
-    norm,
     random_orthogonal,
-    recompose,
-    split,
-    truncate,
     write_curve_csv,
 )
 from .checks import (
@@ -64,7 +58,6 @@ from .models import (
     conditional_slope,
     covariance_operator,
     model_from_dict,
-    model_to_dict,
     push_forward,
     sample,
     standardized_projection,
@@ -81,7 +74,6 @@ from .quantize import (
     lloyd,
     min_distance,
     quantizer_variable,
-    read_pointset_json,
     self_consistency_residual,
     univariate_principal_points,
     write_pointset_json,

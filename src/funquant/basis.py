@@ -1,11 +1,13 @@
 """Coefficient-space representation of elements of a separable Hilbert space.
 
 Every element is stored as its vector of coefficients in a fixed orthonormal
-basis, truncated at level ``d``.  Two concrete bases are provided: the
-Fourier basis on [0, 1] (for rendering coefficient vectors as curves) and a
-purely synthetic basis whose "evaluation" is the identity on coordinates.
-All norms and inner products are the plain Euclidean ones on coefficients,
-which is Parseval's identity at the truncation level.
+basis, truncated at level ``dimension``.  ``make_basis`` builds the one basis
+type, ``Basis``, in one of two families: the Fourier basis on [0, 1] (for
+rendering coefficient vectors as curves) and a purely synthetic basis whose
+"evaluation" is the identity on coordinates.  Norms and inner products are
+the plain Euclidean ones on coefficients, which is Parseval's identity at
+the truncation level; ``SubspaceSplit`` completes an orthonormal subspace
+basis to the whole truncation.
 """
 
 from __future__ import annotations
@@ -23,57 +25,9 @@ SYNTHETIC = "synthetic-eigen"
 _FAMILIES = (FOURIER, SYNTHETIC)
 
 
-def as_coeffs(v, d: int | None = None) -> np.ndarray:
-    """Validate and return a 1-d float coefficient vector."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ShapeError(f"coefficient vector must be 1-d, got shape {v.shape}")
-    if d is not None and v.shape[0] != d:
-        raise ShapeError(f"expected length {d}, got {v.shape[0]}")
-    return v
-
-
-@dataclass(frozen=True)
-class BasisSpec:
-    """Specification of an evaluable orthonormal basis.
-
-    Parameters
-    ----------
-    family : str
-        Either ``"fourier-on-[0,1]"`` or ``"synthetic-eigen"``.
-    dimension : int
-        Truncation level d >= 1.
-    grid : array-like, optional
-        Strictly increasing evaluation abscissae in [0, 1].  Defaults to a
-        uniform grid with ``4 * dimension`` points for the Fourier family
-        (enough for the evaluated Gram matrix to be the identity to 1e-6).
-    """
-
-    family: str
-    dimension: int
-    grid: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ConfigError(f"unknown basis family {self.family!r}; expected one of {_FAMILIES}")
-        if not isinstance(self.dimension, (int, np.integer)) or self.dimension < 1:
-            raise ConfigError(f"basis dimension must be a positive integer, got {self.dimension!r}")
-        if self.grid is not None:
-            g = np.asarray(self.grid, dtype=float)
-            if g.ndim != 1 or g.size < 2:
-                raise ConfigError("grid must be a 1-d sequence with at least 2 points")
-            if not np.isfinite(g).all():
-                raise ConfigError("grid abscissae must be finite")
-            if np.any(np.diff(g) <= 0):
-                raise ConfigError("grid abscissae must be strictly increasing")
-            if g[0] < 0.0 or g[-1] > 1.0:
-                raise ConfigError("grid abscissae must lie in [0, 1]")
-            object.__setattr__(self, "grid", tuple(float(t) for t in g))
-
-
 @dataclass(frozen=True)
 class Basis:
-    """An evaluable orthonormal basis truncated at level d.
+    """An evaluable orthonormal basis truncated at level ``dimension``.
 
     The Fourier family is ordered 1, sqrt(2) cos(2 pi t), sqrt(2) sin(2 pi t),
     sqrt(2) cos(4 pi t), ...  The synthetic family has no evaluation grid;
@@ -83,10 +37,6 @@ class Basis:
     family: str
     dimension: int
     grid: np.ndarray | None = field(repr=False, default=None)
-
-    @property
-    def d(self) -> int:
-        return self.dimension
 
     def design_matrix(self) -> np.ndarray:
         """Evaluate all basis functions on the basis grid, returning an (m, d) matrix."""
@@ -105,7 +55,9 @@ class Basis:
 
     def to_curve(self, coeffs) -> np.ndarray:
         """Render a coefficient vector as function values on the basis grid."""
-        c = as_coeffs(coeffs, self.dimension)
+        c = np.asarray(coeffs, dtype=float)
+        if c.shape != (self.dimension,):
+            raise ShapeError(f"coefficient vector must have shape ({self.dimension},), got {c.shape}")
         if self.family == SYNTHETIC:
             return c.copy()
         return self.design_matrix() @ c
@@ -120,42 +72,37 @@ class Basis:
         return (np.diff(t)[:, None, None] * (f[1:] + f[:-1])).sum(axis=0) / 2.0
 
 
-def make_basis(spec: BasisSpec) -> Basis:
-    """Build the evaluable basis described by ``spec``."""
-    if spec.family == SYNTHETIC:
-        return Basis(family=SYNTHETIC, dimension=spec.dimension, grid=None)
-    if spec.grid is not None:
-        grid = np.asarray(spec.grid, dtype=float)
-    else:
-        grid = np.linspace(0.0, 1.0, 4 * spec.dimension)
-    grid.setflags(write=False)
-    return Basis(family=FOURIER, dimension=spec.dimension, grid=grid)
+def make_basis(family: str, dimension: int, grid=None) -> Basis:
+    """The evaluable orthonormal basis of ``family`` truncated at ``dimension``.
 
-
-def inner_product(u, v) -> float:
-    """Hilbert inner product <u, v> = sum of coefficient products."""
-    u = as_coeffs(u)
-    v = as_coeffs(v, u.shape[0])
-    return float(u @ v)
-
-
-def norm(v) -> float:
-    """Hilbert norm ||v|| (Euclidean norm of the coefficients)."""
-    return float(np.linalg.norm(as_coeffs(v)))
-
-
-def truncate(v, k: int) -> np.ndarray:
-    """Project onto the span of the first k basis elements.
-
-    Coefficients with index <= k are preserved, the rest are zeroed.  The
-    operation is idempotent.
+    ``family`` is ``"fourier-on-[0,1]"`` or ``"synthetic-eigen"`` and
+    ``dimension`` an integer >= 1.  ``grid`` gives the Fourier family's
+    evaluation abscissae: at least 2 finite, strictly increasing points in
+    [0, 1].  It defaults to ``4 * dimension`` uniform points from 0 to 1,
+    enough for the evaluated Gram matrix to be the identity to 1e-6.  The
+    synthetic family has no grid; a given one is checked, then dropped.  Any
+    other input raises ``ConfigError``.
     """
-    v = as_coeffs(v)
-    if not 1 <= k <= v.shape[0]:
-        raise ShapeError(f"truncation level must be in [1, {v.shape[0]}], got {k}")
-    out = np.zeros_like(v)
-    out[:k] = v[:k]
-    return out
+    if family not in _FAMILIES:
+        raise ConfigError(f"unknown basis family {family!r}; expected one of {_FAMILIES}")
+    if not isinstance(dimension, (int, np.integer)) or dimension < 1:
+        raise ConfigError(f"basis dimension must be a positive integer, got {dimension!r}")
+    if grid is not None:
+        grid = np.array(grid, dtype=float)
+        if grid.ndim != 1 or grid.size < 2:
+            raise ConfigError("grid must be a 1-d sequence with at least 2 points")
+        if not np.isfinite(grid).all():
+            raise ConfigError("grid abscissae must be finite")
+        if np.any(np.diff(grid) <= 0):
+            raise ConfigError("grid abscissae must be strictly increasing")
+        if grid[0] < 0.0 or grid[-1] > 1.0:
+            raise ConfigError("grid abscissae must lie in [0, 1]")
+    if family == SYNTHETIC:
+        return Basis(family=SYNTHETIC, dimension=dimension, grid=None)
+    if grid is None:
+        grid = np.linspace(0.0, 1.0, 4 * dimension)
+    grid.setflags(write=False)
+    return Basis(family=FOURIER, dimension=dimension, grid=grid)
 
 
 def fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -210,23 +157,6 @@ class SubspaceSplit:
     @property
     def d(self) -> int:
         return self.u_basis.shape[1]
-
-
-def split(v, s: SubspaceSplit) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates of v in the subspace basis and its orthonormal completion.
-
-    Satisfies ``||w1||^2 + ||w2||^2 = ||v||^2`` and is inverted exactly by
-    :func:`recompose`.
-    """
-    v = as_coeffs(v, s.d)
-    return s.u_basis @ v, s.complement @ v
-
-
-def recompose(w1, w2, s: SubspaceSplit) -> np.ndarray:
-    """Inverse of :func:`split`."""
-    w1 = as_coeffs(w1, s.q)
-    w2 = as_coeffs(w2, s.d - s.q)
-    return s.u_basis.T @ w1 + s.complement.T @ w2
 
 
 def random_orthogonal(d: int, seed: int) -> np.ndarray:

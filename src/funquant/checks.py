@@ -523,7 +523,11 @@ def reference_suite(seed: int = 0, n: int = 200_000, checks=None, jobs: int = 1)
     ``checks`` is a list of names from :data:`ALL_CHECKS` (default: all).
     Each check derives its own seeds from ``seed``, so runs are
     reproducible and independent of execution order.  A report's
-    ``runtime`` covers its fixture as well as its check.
+    ``runtime`` covers its fixture as well as its check.  ``jobs`` threads
+    run the Lloyd restarts of the fixtures of ``convex_hull``,
+    ``projection_self_consistency`` and ``unitary_equivariance`` only; the
+    solves inside ``dimension_bound``, ``eigen_span`` and
+    ``kernel_orthogonality`` run on one thread.
     """
     selected = list(ALL_CHECKS) if checks is None else list(checks)
     unknown = [c for c in selected if c not in ALL_CHECKS]

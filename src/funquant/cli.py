@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import FOURIER, SYNTHETIC, Basis, make_basis, BasisSpec, write_curve_csv
+from .basis import FOURIER, SYNTHETIC, Basis, make_basis, write_curve_csv
 from .checks import ALL_CHECKS, reference_suite
 from .errors import ConfigError, FunquantError, SingularityError
 from .estimates import estimate, write_estimate_json
@@ -118,7 +118,10 @@ def _parse_basis(cfg: dict) -> Basis | None:
             raise ConfigError(f"config.basis.grid_points: too large for this machine's memory ({exc})") from exc
     else:
         grid = None
-    return make_basis(BasisSpec(family=family, dimension=dimension, grid=grid))
+    try:  # family and dimension are checked above, so only the grid can be at fault
+        return make_basis(family, dimension, grid)
+    except ConfigError as exc:
+        raise ConfigError(f"config.basis.grid: {exc}") from exc
 
 
 def _parse_scenario(task: str, cfg: dict, args) -> Scenario:
@@ -152,7 +155,7 @@ def _parse_scenario(task: str, cfg: dict, args) -> Scenario:
     if task == "kmeans":
         scenario.k = _count(cfg, "k")
         _expect(scenario.k <= scenario.n, f"config.k: k={scenario.k} exceeds n={scenario.n}")
-        scenario.restarts = _count(cfg, "restarts", scenario.restarts)
+        scenario.restarts = _count(cfg, "restarts", scenario.restarts, high=1000)
         scenario.tol = _numeric(cfg.get("tol", scenario.tol), "config.tol", float, lambda v: v > 0, "positive number")
         scenario.max_iter = _count(cfg, "max_iter", scenario.max_iter)
 

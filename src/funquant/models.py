@@ -302,18 +302,6 @@ def standardized_projection(model: EllipticalModel, a: np.ndarray) -> Univariate
     return model.mixture.standardized_law()
 
 
-def model_to_dict(model: EllipticalModel, seed: int | None = None) -> dict:
-    payload = {
-        "d": model.d,
-        "mu": model.mu.tolist(),
-        "lambda": model.lam.tolist(),
-        "mixture": model.mixture.to_dict(),
-    }
-    if seed is not None:
-        payload["seed"] = int(seed)
-    return payload
-
-
 def model_from_dict(payload: dict) -> EllipticalModel:
     """Build a model from the JSON model-spec schema, with path-anchored errors."""
     if not isinstance(payload, dict):

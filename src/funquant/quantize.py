@@ -33,10 +33,9 @@ numpy only.
 
 from __future__ import annotations
 
-import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,7 +50,6 @@ class PointSet:
     """An ordered set of k candidate points in coefficient space."""
 
     points: np.ndarray
-    collapsed: bool = field(init=False)
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float, copy=True)
@@ -59,12 +57,6 @@ class PointSet:
             raise ShapeError(f"points must form a non-empty (k, d) matrix, got shape {pts.shape}")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        collapsed = False
-        if pts.shape[0] > 1:
-            diff = pts[:, None, :] - pts[None, :, :]
-            dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-            collapsed = bool(dist[np.triu_indices(pts.shape[0], k=1)].min() < 1e-10)
-        object.__setattr__(self, "collapsed", collapsed)
 
     @property
     def k(self) -> int:
@@ -463,8 +455,3 @@ def write_pointset_json(path, w: PointSet, mse: float, residual: float) -> None:
         "mse": float(mse),
         "residual": float(residual),
     })
-
-
-def read_pointset_json(path) -> dict:
-    with open(path) as f:
-        return json.load(f)

@@ -2,42 +2,44 @@ import numpy as np
 import pytest
 
 from funquant import (
-    BasisSpec,
     ConfigError,
     ShapeError,
     SubspaceSplit,
-    inner_product,
     make_basis,
-    norm,
     random_orthogonal,
-    recompose,
-    split,
-    truncate,
     write_curve_csv,
 )
 from funquant.basis import FOURIER, SYNTHETIC
 
 
 def test_fourier_d1_is_constant_one():
-    basis = make_basis(BasisSpec(family=FOURIER, dimension=1))
+    basis = make_basis(family=FOURIER, dimension=1)
     np.testing.assert_allclose(basis.to_curve([1.0]), np.ones(4))
 
 
 def test_fourier_gram_is_identity_on_512_grid():
     grid = np.linspace(0.0, 1.0, 512)
-    basis = make_basis(BasisSpec(family=FOURIER, dimension=3, grid=grid))
+    basis = make_basis(family=FOURIER, dimension=3, grid=grid)
     np.testing.assert_allclose(basis.gram(), np.eye(3), atol=1e-6)
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 8])
 def test_fourier_gram_identity_at_default_grid(d):
-    basis = make_basis(BasisSpec(family=FOURIER, dimension=d))
+    basis = make_basis(family=FOURIER, dimension=d)
     assert basis.grid.size == 4 * d
     np.testing.assert_allclose(basis.gram(), np.eye(d), atol=1e-6)
 
 
+@pytest.mark.parametrize("family", [FOURIER, SYNTHETIC])
+def test_to_curve_rejects_wrong_shape(family):
+    basis = make_basis(family=family, dimension=3)
+    for coeffs in ([1.0, 2.0], [[1.0, 2.0, 3.0]]):
+        with pytest.raises(ShapeError):
+            basis.to_curve(coeffs)
+
+
 def test_synthetic_evaluation_is_identity():
-    basis = make_basis(BasisSpec(family=SYNTHETIC, dimension=5))
+    basis = make_basis(family=SYNTHETIC, dimension=5)
     e2 = np.zeros(5)
     e2[1] = 1.0
     np.testing.assert_array_equal(basis.to_curve(e2), e2)
@@ -56,54 +58,14 @@ def test_synthetic_evaluation_is_identity():
 )
 def test_invalid_basis_specs_rejected(kwargs):
     with pytest.raises(ConfigError):
-        BasisSpec(**kwargs)
-
-
-def test_inner_product_hand_values():
-    assert inner_product([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]) == 1.0
-    assert inner_product([1.0, 2.0], [3.0, -1.0]) == 1.0
-
-
-def test_inner_product_dimension_mismatch():
-    with pytest.raises(ShapeError):
-        inner_product([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
-def test_cauchy_schwarz_and_parseval():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        u = rng.standard_normal(6)
-        v = rng.standard_normal(6)
-        assert abs(inner_product(u, v)) <= norm(u) * norm(v) + 1e-12
-        assert abs(norm(v) ** 2 - np.sum(v**2)) < 1e-12
-
-
-def test_truncate_examples():
-    v = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(truncate(v, 3), v)
-    np.testing.assert_array_equal(truncate(v, 1), [1.0, 0.0, 0.0])
-    assert norm(v - truncate(v, 1)) ** 2 == pytest.approx(4.0 + 9.0)
-
-
-def test_truncate_idempotent_exactly():
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal(9)
-    for k in range(1, 10):
-        np.testing.assert_array_equal(truncate(truncate(v, k), k), truncate(v, k))
-
-
-@pytest.mark.parametrize("k", [0, 4])
-def test_truncate_out_of_range(k):
-    with pytest.raises(ShapeError):
-        truncate([1.0, 2.0, 3.0], k)
+        make_basis(**kwargs)
 
 
 def test_split_canonical_directions_is_truncation_split():
     s = SubspaceSplit(u_basis=np.eye(5)[:2])
     v = np.arange(1.0, 6.0)
-    w1, w2 = split(v, s)
-    np.testing.assert_array_equal(w1, v[:2])
-    np.testing.assert_array_equal(w2, v[2:])
+    np.testing.assert_array_equal(s.u_basis @ v, v[:2])
+    np.testing.assert_array_equal(s.complement @ v, v[2:])
 
 
 def test_split_norm_decomposition_and_roundtrip():
@@ -112,9 +74,9 @@ def test_split_norm_decomposition_and_roundtrip():
     s = SubspaceSplit(u_basis=q_mat[:2])
     for _ in range(1000):
         v = rng.standard_normal(6)
-        w1, w2 = split(v, s)
+        w1, w2 = s.u_basis @ v, s.complement @ v
         assert abs(np.sum(w1**2) + np.sum(w2**2) - np.sum(v**2)) < 1e-10
-        np.testing.assert_allclose(recompose(w1, w2, s), v, atol=1e-10)
+        np.testing.assert_allclose(s.u_basis.T @ w1 + s.complement.T @ w2, v, atol=1e-10)
 
 
 def test_split_rejects_non_orthonormal_rows():
@@ -137,7 +99,7 @@ def test_random_orthogonal_properties():
 
 
 def test_curve_csv_format(tmp_path):
-    basis = make_basis(BasisSpec(family=FOURIER, dimension=3, grid=np.linspace(0, 1, 17)))
+    basis = make_basis(family=FOURIER, dimension=3, grid=np.linspace(0, 1, 17))
     path = tmp_path / "curve.csv"
     write_curve_csv(path, basis, [1.0, 0.5, -0.25])
     lines = path.read_text().strip().splitlines()
@@ -151,7 +113,7 @@ def test_curve_csv_format(tmp_path):
 def test_synthetic_curve_csv_lists_coordinates(tmp_path):
     coeffs = [1.0, -0.5, 0.25, 0.0]
     path = tmp_path / "curve.csv"
-    write_curve_csv(path, make_basis(BasisSpec(family=SYNTHETIC, dimension=4)), coeffs)
+    write_curve_csv(path, make_basis(family=SYNTHETIC, dimension=4), coeffs)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,value"
     rows = [tuple(map(float, line.split(","))) for line in lines[1:]]

@@ -323,6 +323,11 @@ class TestSchemaErrors:
             ("kmeans", '"basis": {"grid": "abc"}', "config.basis.grid"),
             ("kmeans", '"basis": {"grid": [0, 0.5, "x"]}', "config.basis.grid"),
             ("kmeans", '"basis": {"grid": [0, NaN, 1]}', "config.basis.grid"),
+            ("kmeans", '"basis": {"grid": [0.5, 0.2, 0.9]}', "config.basis.grid"),
+            ("kmeans", '"basis": {"grid": [0.5, 2.0]}', "config.basis.grid"),
+            ("kmeans", '"basis": {"grid": [0.5]}', "config.basis.grid"),
+            # above the bound, so no restart seeds or threads are allocated
+            ("kmeans", '"restarts": 1000000000', "config.restarts"),
             pytest.param(
                 "kmeans", '"model": ' + json.dumps(dict(MODEL, d=1, mu=[0.0], **{"lambda": [1.0]}))
                 + ', "basis": {"dimension": true}', "config.basis.dimension", id="kmeans-d1-bool-dimension",
@@ -407,6 +412,16 @@ def _mutate(cfg, rng):
     return json.dumps(cfg).replace(json.dumps(_HUGE), "1" + "0" * 5000)
 
 
+# Two records as ``verify`` writes them, the input that the ``report`` bases read.
+_REPORTS = [
+    {"name": "convex_hull", "params": {"model": "gaussian(4,1,0.25)", "n": 300, "seed": 1}, "passed": True,
+     "flags": [], "residuals": {"hull_excess": 0.0}, "tolerances": {"hull_excess": 1e-10}},
+    {"name": "ratio_invariance", "params": {"law": "normal", "seed": 0}, "passed": False, "flags": ["degenerate"],
+     "residuals": {"ratio_spread": 0.5}, "tolerances": {"ratio_spread": 1e-6}},
+]
+_REPORT_CONFIG = {"task": "report", "inputs": ["reports.json"]}
+
+
 @pytest.mark.parametrize(
     "task, base",
     [
@@ -420,15 +435,28 @@ def _mutate(cfg, rng):
                          "basis": {"family": "fourier-on-[0,1]", "dimension": 3, "grid": [0.0, 0.5, 1.0],
                                    "grid_points": 5}}),
         ("estimate", {"task": "estimate", "model": MODEL, "n": 20, "seed": 0}),
+        ("kmeans", {"task": "kmeans", "model": MODEL, "n": 20, "k": 2, "restarts": 2, "seed": 0,
+                    "basis": {"family": "fourier-on-[0,1]", "grid_points": 9}}),
+        ("verify", {"task": "verify", "checks": ["ratio_invariance"], "n": 300, "seed": 0}),
+        ("report", _REPORT_CONFIG),
+        # the config stays fixed and the report input file is mutated
+        ("report", _REPORTS),
     ],
-    ids=["closed-form-t", "closed-form-two-point", "simulate", "closed-form-basis", "estimate"],
+    ids=["closed-form-t", "closed-form-two-point", "simulate", "closed-form-basis", "estimate", "kmeans",
+         "verify", "report", "report-input"],
 )
-def test_fuzzed_configs_exit_with_a_documented_code(tmp_path, capsys, task, base):
+def test_fuzzed_configs_exit_with_a_documented_code(tmp_path, capsys, monkeypatch, task, base):
     # Seeded mutations of field types and values; any uncaught exception fails the test.
+    monkeypatch.chdir(tmp_path)
+    reports = tmp_path / "reports.json"
+    reports.write_text(json.dumps(_REPORTS))
     rng = np.random.default_rng([41, len(task), len(json.dumps(base))])
     for case in range(80):
         cfg = tmp_path / f"config_{case}.json"
         text = _mutate(base, rng)
+        if base is _REPORTS:
+            reports.write_text(text)
+            text = json.dumps(_REPORT_CONFIG)
         cfg.write_text(text)
         code = main([task, "--config", str(cfg), "--out", str(tmp_path / f"o{case}")])
         err = capsys.readouterr().err

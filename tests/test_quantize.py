@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -21,7 +23,6 @@ from funquant import (
     min_distance,
     normal_law,
     quantizer_variable,
-    read_pointset_json,
     sample,
     self_consistency_residual,
     standardized_projection,
@@ -378,16 +379,11 @@ def test_lloyd_matches_closed_form_for_gapped_models(mixture):
 
 
 class TestPointSet:
-    def test_collapsed_flag(self):
-        assert PointSet(np.array([[0.0, 0.0], [0.0, 0.0]])).collapsed
-        assert not PointSet(np.array([[0.0, 0.0], [1.0, 0.0]])).collapsed
-        assert not PointSet(np.array([[1.0, 2.0]])).collapsed
-
     def test_json_round_trip(self, tmp_path):
         w = PointSet(np.array([[1.59577, 0.0], [-1.59577, 0.0]]))
         path = tmp_path / "pointset.json"
         write_pointset_json(path, w, mse=2.4535, residual=1e-9)
-        payload = read_pointset_json(path)
+        payload = json.loads(path.read_text())
         assert payload["k"] == 2
         np.testing.assert_allclose(payload["points"], w.points, rtol=1e-11)
         assert payload["mse"] == pytest.approx(2.4535)
