@@ -188,21 +188,16 @@ def check_unitary_equivariance(
 
 
 def check_kernel_orthogonality(
-    model: EllipticalModel,
-    k: int,
-    n: int,
-    seed: int,
-    tol_kernel: float = 1e-8,
+    samples: np.ndarray, w: PointSet, model: EllipticalModel, tol_kernel: float = 1e-8, params: dict | None = None
 ) -> VerificationReport:
-    """Fixed points carry no weight on zero-eigenvalue coordinates (best of 5 Lloyd restarts)."""
+    """A fixed point ``w`` of draws of ``model`` carries no weight on the
+    model's zero-eigenvalue coordinates (every entry there at most ``tol_kernel``)."""
     started = time.perf_counter()
     kernel = np.flatnonzero(model.lam == 0.0)
     if kernel.size == 0:
         raise UsageError("model has no zero eigenvalues; nothing to check")
-    draws = sample(model, n, seed)
-    points, _ = lloyd(draws, k, tol=1e-10, restarts=5, seed=seed)
-    residual = float(np.abs(points.points[:, kernel]).max())
-    p = {"model": model.label(), "n": n, "seed": seed, "k": k}
+    residual = float(np.abs(w.points[:, kernel]).max())
+    p = {"model": model.label(), "n": len(samples), **(params or {}), "k": w.k}
     return _finish(
         "kernel_orthogonality", p, {"kernel_magnitude": residual},
         {"kernel_magnitude": tol_kernel}, EXACT, (), started,
@@ -234,40 +229,29 @@ def _has_gap(lam: np.ndarray, q: int = 1) -> bool:
 
 
 def check_eigen_span(
-    model: EllipticalModel,
-    k: int,
-    q_expected: int,
-    n: int,
-    seed: int,
-    rotation: np.ndarray | None = None,
-    restarts: int = 10,
-    angle_tol: float = 0.1,
+    samples: np.ndarray, w: PointSet, model: EllipticalModel, q_expected: int,
+    rotation: np.ndarray | None = None, angle_tol: float = 0.1, params: dict | None = None,
 ) -> VerificationReport:
     """Centered fixed points span leading eigendirections.
 
-    The span's rank is read off the singular values of the centered point
-    matrix by :func:`span_rank` and must equal ``q_expected`` exactly; its
-    principal angles against the top-q model eigendirections must stay
-    below ``angle_tol``.  Models whose spectrum falls by less than 1e-3 of
-    its top value after the q-th value, and runs where a singular value
-    sits near the rank cutoff, are flagged indeterminate instead of failed.
+    ``w`` is a fixed point of ``samples``, draws of ``model`` to which the
+    caller applied the orthogonal matrix ``rotation`` (if any), so the
+    model's eigendirections are the columns of ``rotation``.  The span's
+    rank is read off the singular values of the centered point matrix by
+    :func:`span_rank` and must equal ``q_expected`` exactly; its principal
+    angles against the top-q eigendirections must stay below
+    ``angle_tol``.  Models whose spectrum falls by less than 1e-3 of its top
+    value after the q-th value, and fixtures where a singular value sits
+    near the rank cutoff, are flagged indeterminate instead of failed.
     """
     started = time.perf_counter()
-    p = {"model": model.label(), "n": n, "seed": seed, "k": k, "q_expected": q_expected}
+    samples = np.asarray(samples, dtype=float)
+    p = {"model": model.label(), "n": samples.shape[0], **(params or {}), "k": w.k, "q_expected": q_expected}
     if not _has_gap(model.lam, q_expected):
-        return _finish(
-            "eigen_span", p, {}, {}, MONTE_CARLO, ("degenerate-spectrum",), started
-        )
+        return _finish("eigen_span", p, {}, {}, MONTE_CARLO, ("degenerate-spectrum",), started)
 
-    draws = sample(model, n, seed)
-    eigvecs = np.eye(model.d)
-    if rotation is not None:
-        rotation = np.asarray(rotation, dtype=float)
-        draws = draws @ rotation.T
-        eigvecs = rotation
-
-    points, _ = lloyd(draws, k, tol=1e-10, restarts=restarts, seed=seed)
-    centered = points.points - draws.mean(axis=0)
+    eigvecs = np.eye(model.d) if rotation is None else np.asarray(rotation, dtype=float)
+    centered = w.points - samples.mean(axis=0)
     _, svals, vt = np.linalg.svd(centered)
     rank, ambiguous = span_rank(svals)
     flags = ["ambiguous-rank"] if ambiguous else []
@@ -283,22 +267,19 @@ def check_eigen_span(
     return _finish("eigen_span", p, residuals, tolerances, MONTE_CARLO, (), started)
 
 
-def check_dimension_bound(
-    samples: np.ndarray, k: int, seed: int = 0, restarts: int = 10, params: dict | None = None
-) -> VerificationReport:
-    """Centered best-restart output spans at most k-1 dimensions."""
+def check_dimension_bound(samples: np.ndarray, w: PointSet, params: dict | None = None) -> VerificationReport:
+    """A k-point fixed point of ``samples``, centered at their mean, spans at most k-1 dimensions."""
     started = time.perf_counter()
     samples = np.asarray(samples, dtype=float)
-    points, _ = lloyd(samples, k, tol=1e-10, restarts=restarts, seed=seed)
     mean = samples.mean(axis=0)
-    centered = points.points - mean
+    centered = w.points - mean
     svals = np.linalg.svd(centered, compute_uv=False)
     scale = math.sqrt(float(((samples - mean) ** 2).sum(axis=1).mean()))
     cutoff = 1e-6 * max(float(svals[0]), scale)
     rank = int((svals > cutoff).sum())
-    residuals = {"rank_excess": float(max(0, rank - (k - 1)))}
+    residuals = {"rank_excess": float(max(0, rank - (w.k - 1)))}
     tolerances = {"rank_excess": 0.0}
-    p = {"n": samples.shape[0], "k": k, "seed": seed, **(params or {})}
+    p = {"n": samples.shape[0], "k": w.k, **(params or {})}
     return _finish("dimension_bound", p, residuals, tolerances, EXACT, (), started)
 
 
@@ -471,8 +452,9 @@ _N_MID = 50_000  # draws per Lloyd fixture; the Monte Carlo checks take the suit
 
 
 def _on_fixture(check, model, k, n, seed, jobs, *args):
-    """``check`` run on draws of ``model`` and a k-point Lloyd fixed point on them, both from ``seed``."""
-    draws = sample(model, min(n, _N_MID), seed)
+    """``check`` run on ``n`` draws of ``model`` and a k-point Lloyd fixed point on them, both from
+    ``seed``: the one place the suite solves a fixture, with ``jobs`` threads for its five restarts."""
+    draws = sample(model, n, seed)
     points, _ = lloyd(draws, k, tol=1e-10, restarts=5, seed=seed, jobs=jobs)
     return check(draws, points, *args, params={"model": model.label(), "seed": seed})
 
@@ -487,22 +469,32 @@ def _after_models(model) -> bool:
     return model is None
 
 
+def _eigen_span_row(model, n, seed, jobs):
+    """eigen_span with k=2, q=1; a model with no gap after its top value is
+    flagged, as the check would flag it, before any fixture is drawn."""
+    if _has_gap(model.lam):
+        return _on_fixture(check_eigen_span, model, 2, n, seed, jobs, model, 1)
+    p = {"model": model.label(), "n": n, "seed": seed, "k": 2, "q_expected": 1}
+    return _finish("eigen_span", p, {}, {}, MONTE_CARLO, ("degenerate-spectrum",), time.perf_counter())
+
+
 # The reference suite in report order.  Each row names a check, gives the rule
 # for the reference models it runs on, and runs it as run(model, base seed, n,
 # jobs), building its fixture first; the seed offsets from the base are part of
 # the exported reports.  Rows reach checks and solvers through this module's
 # global names when they run, so a wrapper set on the module sees every call.
 _SUITE = (
-    ("convex_hull", _models(), lambda m, s, n, jobs: _on_fixture(check_convex_hull, m, 3, n, s + 1, jobs)),
-    ("dimension_bound", _models(), lambda m, s, n, jobs: check_dimension_bound(
-        sample(m, min(n, _N_MID), s + 2), 3, seed=s + 2, restarts=5, params={"model": m.label()})),
-    ("kernel_orthogonality", _models(lambda m: np.any(m.lam == 0.0)), lambda m, s, n, jobs: (
-        check_kernel_orthogonality(m, 2, min(n, _N_MID), s + 3))),
-    ("eigen_span", _models(), lambda m, s, n, jobs: check_eigen_span(m, 2, 1, min(n, 100_000), s + 4, restarts=5)),
+    ("convex_hull", _models(), lambda m, s, n, jobs: _on_fixture(
+        check_convex_hull, m, 3, min(n, _N_MID), s + 1, jobs)),
+    ("dimension_bound", _models(), lambda m, s, n, jobs: _on_fixture(
+        check_dimension_bound, m, 3, min(n, _N_MID), s + 2, jobs)),
+    ("kernel_orthogonality", _models(lambda m: np.any(m.lam == 0.0)), lambda m, s, n, jobs: _on_fixture(
+        check_kernel_orthogonality, m, 2, min(n, _N_MID), s + 3, jobs, m)),
+    ("eigen_span", _models(), lambda m, s, n, jobs: _eigen_span_row(m, min(n, 100_000), s + 4, jobs)),
     ("projection_self_consistency", _models(lambda m: _has_gap(m.lam)), lambda m, s, n, jobs: _on_fixture(
-        check_projection_self_consistency, m, 2, n, s + 5, jobs)),
+        check_projection_self_consistency, m, 2, min(n, _N_MID), s + 5, jobs)),
     ("unitary_equivariance", _models(lambda m: _has_gap(m.lam)), lambda m, s, n, jobs: _on_fixture(
-        check_unitary_equivariance, m, 2, n, s + 6, jobs,
+        check_unitary_equivariance, m, 2, min(n, _N_MID), s + 6, jobs,
         np.linspace(0.5, -0.5, m.d), 2.0, random_orthogonal(m.d, s + 7))),
     ("conditional_linearity", _models(lambda m: m.lam[-1] > 0), lambda m, s, n, jobs: check_conditional_linearity(
         m, SubspaceSplit(u_basis=random_orthogonal(m.d, s + 8)[:1]), n, s + 8)),
@@ -523,11 +515,10 @@ def reference_suite(seed: int = 0, n: int = 200_000, checks=None, jobs: int = 1)
     ``checks`` is a list of names from :data:`ALL_CHECKS` (default: all).
     Each check derives its own seeds from ``seed``, so runs are
     reproducible and independent of execution order.  A report's
-    ``runtime`` covers its fixture as well as its check.  ``jobs`` threads
-    run the Lloyd restarts of the fixtures of ``convex_hull``,
-    ``projection_self_consistency`` and ``unitary_equivariance`` only; the
-    solves inside ``dimension_bound``, ``eigen_span`` and
-    ``kernel_orthogonality`` run on one thread.
+    ``runtime`` covers its fixture as well as its check.  Every check that
+    judges a Lloyd fixed point is handed one fixture, drawn and solved in
+    one place, and ``jobs`` threads run the restarts of every such solve;
+    only ``unitary_equivariance``'s refit from given points is a single run.
     """
     selected = list(ALL_CHECKS) if checks is None else list(checks)
     unknown = [c for c in selected if c not in ALL_CHECKS]

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .basis import FOURIER, SYNTHETIC, Basis, make_basis, write_curve_csv
 from .checks import ALL_CHECKS, reference_suite
-from .errors import ConfigError, FunquantError, SingularityError
+from .errors import ConfigError, DegenerateDirectionError, FunquantError, SingularityError, UsageError
 from .estimates import estimate, write_estimate_json
 from .models import (
     EllipticalModel, covariance_operator, is_finite_number, model_from_dict, sample, write_samples_csv,
@@ -150,7 +150,7 @@ def _parse_scenario(task: str, cfg: dict, args) -> Scenario:
             )
 
     if task in ("simulate", "estimate", "kmeans"):
-        scenario.n = _count(cfg, "n")
+        scenario.n = _count(cfg, "n", low=2 if task == "estimate" else 1)
 
     if task == "kmeans":
         scenario.k = _count(cfg, "k")
@@ -231,6 +231,8 @@ def _run_kmeans(scenario: Scenario) -> int:
         seed=scenario.seed,
         jobs=scenario.jobs,
     )
+    if not math.isfinite(report.self_consistency_residual):  # a domain stayed empty
+        raise SingularityError(f"config.k: the draws have fewer than k={scenario.k} distinct rows")
     path = scenario.out / "pointset.json"
     write_pointset_json(path, points, report.final_mse, report.self_consistency_residual)
     print(f"wrote {path} (iterations={report.iterations}, converged={report.converged})")
@@ -240,8 +242,11 @@ def _run_kmeans(scenario: Scenario) -> int:
 
 
 def _run_closed_form(scenario: Scenario) -> int:
-    points = closed_form_two_points(scenario.model)
-    g = g_constant(scenario.model)
+    try:
+        points = closed_form_two_points(scenario.model)
+        g = g_constant(scenario.model)
+    except (DegenerateDirectionError, UsageError) as exc:  # both depend on the model alone
+        raise ConfigError(f"config.model: {exc}") from exc
     gamma = covariance_operator(scenario.model)
     mse = float(np.trace(gamma)) - (1.0 - g) * float(gamma[0, 0])
     path = scenario.out / "pointset.json"

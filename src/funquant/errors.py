@@ -30,4 +30,5 @@ class DegenerateDirectionError(FunquantError, ValueError):
 
 
 class SingularityError(FunquantError, RuntimeError):
-    """A covariance block that must be invertible is numerically singular."""
+    """A numerically singular problem: a covariance block that must be
+    invertible is not, or the draws have fewer distinct rows than points."""

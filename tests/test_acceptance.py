@@ -140,7 +140,9 @@ def test_criterion_5_kernel_orthogonality():
     model = EllipticalModel(
         mu=np.zeros(4), lam=np.array([2.0, 1.0, 0.0, 0.0]), mixture=ScaleMixture.gaussian()
     )
-    report = check_kernel_orthogonality(model, 3, 50_000, seed=5, tol_kernel=1e-12)
+    draws = sample(model, 50_000, seed=5)
+    points, _ = lloyd(draws, 3, tol=1e-10, restarts=5, seed=5)
+    report = check_kernel_orthogonality(draws, points, model, tol_kernel=1e-12)
     assert report.passed
     assert report.residuals["kernel_magnitude"] < 1e-12
     ok(5, "all solver points carry < 1e-12 on zero-eigenvalue coordinates")
@@ -173,10 +175,10 @@ def test_criterion_8_dimension_bound_and_convex_hull():
     for idx, model in enumerate(reference_models()):
         draws = sample(model, 20_000, seed=800 + idx)
         for k in (2, 3):
-            bound_report = check_dimension_bound(draws, k, seed=800 + idx, restarts=5)
+            points, _ = lloyd(draws, k, tol=1e-10, restarts=5, seed=800 + idx)
+            bound_report = check_dimension_bound(draws, points)
             assert bound_report.passed, (model.label(), k, bound_report.residuals)
 
-            points, _ = lloyd(draws, k, tol=1e-10, restarts=5, seed=800 + idx)
             hull_report = check_convex_hull(draws, points)
             assert hull_report.passed, (model.label(), k, hull_report.residuals)
             trace_cov = float(np.trace(covariance_operator(model)))
@@ -203,8 +205,8 @@ def test_criterion_9_cli_byte_determinism(tmp_path):
         "simulate": {"model": model, "task": "simulate", "n": 50, "seed": 3},
         "kmeans": {"model": model, "task": "kmeans", "n": 4000, "k": 3,
                    "restarts": 4, "tol": 1e-9, "seed": 3},
-        "verify": {"task": "verify", "checks": ["dimension_bound", "ratio_invariance"],
-                   "n": 4000, "seed": 3},
+        "verify": {"task": "verify", "n": 4000, "seed": 3,
+                   "checks": ["dimension_bound", "kernel_orthogonality", "eigen_span", "ratio_invariance"]},
     }
     for task, cfg in configs.items():
         cfg_path = tmp_path / f"{task}.json"

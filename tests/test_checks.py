@@ -39,9 +39,9 @@ def gaussian_model(lam, mu=None):
     )
 
 
-def fixed_point(model, k, n, seed, tol=1e-10):
+def fixed_point(model, k, n, seed, tol=1e-10, restarts=5):
     draws = sample(model, n, seed)
-    points, _ = lloyd(draws, k, tol=tol, restarts=5, seed=seed)
+    points, _ = lloyd(draws, k, tol=tol, restarts=restarts, seed=seed)
     return draws, points
 
 
@@ -98,19 +98,20 @@ class TestUnitaryEquivariance:
 
 class TestKernelOrthogonality:
     def test_single_kernel_direction_exact_zero(self):
-        report = check_kernel_orthogonality(gaussian_model([1.0, 0.0]), 2, 20_000, seed=8)
+        model = gaussian_model([1.0, 0.0])
+        report = check_kernel_orthogonality(*fixed_point(model, 2, 20_000, seed=8), model)
         assert report.passed
         assert report.residuals["kernel_magnitude"] == 0.0
 
     def test_two_kernel_directions(self):
-        report = check_kernel_orthogonality(
-            gaussian_model([2.0, 1.0, 0.0, 0.0]), 3, 20_000, seed=9, tol_kernel=1e-12
-        )
+        model = gaussian_model([2.0, 1.0, 0.0, 0.0])
+        report = check_kernel_orthogonality(*fixed_point(model, 3, 20_000, seed=9), model, tol_kernel=1e-12)
         assert report.passed
 
     def test_requires_a_kernel(self):
+        model = gaussian_model([2.0, 1.0])
         with pytest.raises(UsageError):
-            check_kernel_orthogonality(gaussian_model([2.0, 1.0]), 2, 100, seed=0)
+            check_kernel_orthogonality(*fixed_point(model, 2, 100, seed=0), model)
 
     def test_domain_means_stay_kernel_orthogonal_after_perturbation(self):
         model = gaussian_model([1.0, 0.0])
@@ -128,34 +129,38 @@ class TestKernelOrthogonality:
 
 class TestEigenSpan:
     def test_gaussian_leading_direction(self):
-        report = check_eigen_span(gaussian_model([4.0, 1.0, 0.25]), 2, 1, 50_000, seed=11)
+        model = gaussian_model([4.0, 1.0, 0.25])
+        report = check_eigen_span(*fixed_point(model, 2, 50_000, seed=11, restarts=10), model, 1)
         assert report.passed
         assert report.residuals["max_angle"] < 0.1
         assert report.residuals["rank_deviation"] == 0.0
 
     def test_rotated_model_measured_against_rotated_axes(self):
+        model = gaussian_model([4.0, 1.0, 0.25])
         q = random_orthogonal(3, seed=12)
-        report = check_eigen_span(
-            gaussian_model([4.0, 1.0, 0.25]), 2, 1, 50_000, seed=12, rotation=q
-        )
+        draws = sample(model, 50_000, seed=12) @ q.T
+        points, _ = lloyd(draws, 2, tol=1e-10, restarts=10, seed=12)
+        report = check_eigen_span(draws, points, model, 1, rotation=q)
         assert report.passed
 
     def test_t5_wide_gap(self):
         model = EllipticalModel(
             mu=np.zeros(2), lam=np.array([9.0, 1.0]), mixture=ScaleMixture.student_t(5.0)
         )
-        report = check_eigen_span(model, 2, 1, 200_000, seed=13)
+        report = check_eigen_span(*fixed_point(model, 2, 200_000, seed=13, restarts=10), model, 1)
         assert report.passed
 
     def test_flat_spectrum_flagged_not_failed(self):
-        report = check_eigen_span(gaussian_model([1.0, 1.0, 1.0]), 2, 1, 5000, seed=14)
+        model = gaussian_model([1.0, 1.0, 1.0])
+        report = check_eigen_span(*fixed_point(model, 2, 5000, seed=14, restarts=10), model, 1)
         assert report.flags == ("degenerate-spectrum",)
         assert report.passed  # vacuously: no residuals measured
 
     def test_failing_configuration_returns_report(self):
         # an absurd angle tolerance fails the check without raising
+        model = gaussian_model([4.0, 1.0, 0.25])
         report = check_eigen_span(
-            gaussian_model([4.0, 1.0, 0.25]), 2, 1, 20_000, seed=15, angle_tol=1e-12
+            *fixed_point(model, 2, 20_000, seed=15, restarts=10), model, 1, angle_tol=1e-12
         )
         assert not report.passed
         assert report.flags == ()
@@ -163,14 +168,12 @@ class TestEigenSpan:
 
 class TestDimensionBound:
     def test_k1_rank_zero(self):
-        draws = sample(gaussian_model([2.0, 1.0]), 5000, seed=16)
-        report = check_dimension_bound(draws, 1, seed=16)
+        report = check_dimension_bound(*fixed_point(gaussian_model([2.0, 1.0]), 1, 5000, seed=16, restarts=10))
         assert report.passed
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_rank_at_most_k_minus_one(self, k):
-        draws = sample(gaussian_model([4.0, 1.0]), 30_000, seed=17)
-        report = check_dimension_bound(draws, k, seed=17)
+        report = check_dimension_bound(*fixed_point(gaussian_model([4.0, 1.0]), k, 30_000, seed=17, restarts=10))
         assert report.passed
         assert report.residuals["rank_excess"] == 0.0
 
@@ -294,21 +297,24 @@ class TestRecordedTolerances:
         assert report.tolerances == {"ratio_spread": 1e-6}
 
     def test_eigen_span(self):
-        report = check_eigen_span(gaussian_model([4.0, 1.0, 0.25]), 2, 1, 5000, seed=42)
+        model = gaussian_model([4.0, 1.0, 0.25])
+        report = check_eigen_span(*fixed_point(model, 2, 5000, seed=42, restarts=10), model, 1)
         assert report.flags == ()
         assert report.tolerances == {"max_angle": 0.1, "rank_deviation": 0.0}
 
     @pytest.mark.parametrize("drop, flagged", [(0.9e-3, True), (1.1e-3, False)])
     def test_eigen_span_gap_threshold_is_1e_3_of_the_top_eigenvalue(self, drop, flagged):
-        report = check_eigen_span(gaussian_model([1.0, 1.0 - drop]), 2, 1, 2000, seed=42)
+        model = gaussian_model([1.0, 1.0 - drop])
+        report = check_eigen_span(*fixed_point(model, 2, 2000, seed=42, restarts=10), model, 1)
         assert (report.flags == ("degenerate-spectrum",)) == flagged
 
     def test_kernel_orthogonality(self):
-        report = check_kernel_orthogonality(gaussian_model([1.0, 0.0]), 2, 2000, seed=43)
+        model = gaussian_model([1.0, 0.0])
+        report = check_kernel_orthogonality(*fixed_point(model, 2, 2000, seed=43), model)
         assert report.tolerances == {"kernel_magnitude": 1e-8}
 
     def test_dimension_bound(self):
-        report = check_dimension_bound(sample(gaussian_model([2.0, 1.0]), 2000, seed=44), 2, seed=44)
+        report = check_dimension_bound(*fixed_point(gaussian_model([2.0, 1.0]), 2, 2000, seed=44, restarts=10))
         assert report.tolerances == {"rank_excess": 0.0}
 
     def test_unitary_equivariance(self):
@@ -364,6 +370,24 @@ SUITE_SEQUENCE_SEED3 = [
 ]
 
 
+def _solve(k, seed):
+    return (2000, k, "kmeans++", 1e-10, 5, seed)
+
+
+_REFIT = (2000, 2, "given", 1e-8, 10, 0)  # unitary_equivariance's single run from given points
+
+# (n, k, init, tol, restarts, seed) of every lloyd call of reference_suite(seed=3, n=2000),
+# in call order; the isotropic (1,1,1) models get no eigen_span fixture
+SUITE_SOLVES_SEED3 = [
+    _solve(3, 4), _solve(3, 5), _solve(2, 7), _solve(2, 8), _solve(2, 9), _REFIT,
+    _solve(3, 1004), _solve(3, 1005), _solve(2, 1007), _solve(2, 1008), _solve(2, 1009), _REFIT,
+    _solve(3, 2004), _solve(3, 2005),
+    _solve(3, 3004), _solve(3, 3005),
+    _solve(3, 4004), _solve(3, 4005), _solve(2, 4006), _solve(2, 4007), _solve(2, 4008), _solve(2, 4009), _REFIT,
+    _solve(3, 5004), _solve(3, 5005), _solve(2, 5006), _solve(2, 5007), _solve(2, 5008), _solve(2, 5009), _REFIT,
+]
+
+
 def suite_keys(reports):
     return [(r.name, r.params.get("model", r.params.get("law")), r.params.get("seed")) for r in reports]
 
@@ -408,14 +432,27 @@ class TestReferenceSuite:
         reports, wall = small_suite
         assert sum(r.runtime for r in reports) >= 0.95 * wall
 
+    def test_every_fixture_solve_takes_jobs(self, monkeypatch):
+        import funquant.checks
+
+        real, calls = funquant.checks.lloyd, []
+
+        def recorder(samples, k, init="kmeans++", tol=1e-8, max_iter=300, restarts=10, seed=0, jobs=1):
+            given = not isinstance(init, str)
+            calls.append(((len(samples), k, "given" if given else init, tol, restarts, seed), jobs))
+            return real(samples, k, init=init, tol=tol, max_iter=max_iter, restarts=restarts, seed=seed, jobs=jobs)
+
+        monkeypatch.setattr(funquant.checks, "lloyd", recorder)
+        reference_suite(seed=3, n=2000, jobs=2)
+        assert [call for call, _ in calls] == SUITE_SOLVES_SEED3
+        assert all(jobs == 2 for call, jobs in calls if call[2] == "kmeans++")
+
     def test_unknown_check_rejected(self):
         with pytest.raises(UsageError):
             reference_suite(checks=["nonexistent"])
 
     def test_report_export_omits_runtime(self):
-        report = check_dimension_bound(
-            sample(gaussian_model([2.0, 1.0]), 500, seed=1), 2, seed=1, restarts=2
-        )
+        report = check_dimension_bound(*fixed_point(gaussian_model([2.0, 1.0]), 2, 500, seed=1, restarts=2))
         payload = report.to_dict()
         assert "runtime" not in payload
         assert report.runtime > 0.0
@@ -467,7 +504,7 @@ def test_monte_carlo_residuals_shrink_with_n():
     def span_median(n):
         wide = gaussian_model([4.0, 1.0])
         return np.median([
-            check_eigen_span(wide, 2, 1, n, seed=200 + s, restarts=3).residuals["max_angle"]
+            check_eigen_span(*fixed_point(wide, 2, n, seed=200 + s, restarts=3), wide, 1).residuals["max_angle"]
             for s in range(10)
         ])
 

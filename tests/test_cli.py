@@ -18,6 +18,10 @@ MODEL = {
 }
 
 
+_ZERO_MODEL = {"d": 2, "mu": [0.0, 0.0], "lambda": [0.0, 0.0], "mixture": {"kind": "gaussian"}}
+_ZERO_VALUE_MODEL = dict(MODEL, mixture={"kind": "two_point", "z1": 0.0, "z2": 0.0, "p": 0.5})
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "funquant", *args],
@@ -122,6 +126,16 @@ class TestKmeans:
             lines = (out / name).read_text().strip().splitlines()
             assert lines[0] == "t,value"
             assert len(lines) == 34
+
+    @pytest.mark.parametrize(
+        "model, k", [(_ZERO_MODEL, 3), (_ZERO_VALUE_MODEL, 2)], ids=["zero-spectrum", "two-point-zeros"]
+    )
+    def test_degenerate_draws_exit_3_without_pointset(self, tmp_path, capsys, model, k):
+        # every draw is the mean, so k points cannot all have a non-empty domain
+        cfg = write_config(tmp_path, {"model": model, "task": "kmeans", "n": 50, "k": k, "seed": 0})
+        assert main(["kmeans", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert f"error: config.k: the draws have fewer than k={k} distinct rows" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "pointset.json").exists()
 
     def test_k_larger_than_n_rejected(self, tmp_path):
         cfg = write_config(
@@ -336,6 +350,10 @@ class TestSchemaErrors:
             # 7.11 PiB of grid: the allocation fails at once, so no memory is used
             pytest.param("kmeans", '"basis": {"grid_points": 1000000000000000}', "config.basis.grid_points",
                          id="kmeans-unallocatable-grid-points"),
+            pytest.param("estimate", '"model": ' + json.dumps(MODEL) + ', "n": 1', "config.n", id="estimate-n1"),
+            pytest.param("closed-form", '"model": ' + json.dumps(_ZERO_MODEL), "config.model", id="closed-form-zero"),
+            pytest.param("closed-form", '"model": ' + json.dumps(_ZERO_VALUE_MODEL), "config.model",
+                         id="closed-form-two-point-zero-value"),
         ],
     )
     def test_typed_fields_exit_2_with_anchored_message(self, tmp_path, capsys, task, field, where):
