@@ -13,8 +13,11 @@ by sampling).
 
 Checks whose preconditions cannot be decided from data (for example span
 comparisons under a nearly degenerate spectrum) come back flagged rather
-than failed.  ``scipy.optimize`` is imported inside ``simplex_fit``, its
-only user, so importing this module loads no part of scipy.
+than failed.  Every check judges only the draws and model it is handed:
+:func:`reference_suite` alone draws and seeds samples, labels each report
+with its model and seed, and times it.  ``scipy.optimize`` is imported
+inside ``simplex_fit``, its only user, so importing this module loads no
+part of scipy.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 
 from .basis import SubspaceSplit, random_orthogonal
 from .errors import ShapeError, UsageError
+from .estimates import principal_angles
 from .laws import NormalMixtureLaw, UniformLaw, UnivariateLaw
 from .models import EllipticalModel, ScaleMixture, conditional_slope, sample
 from .quantize import (
@@ -46,7 +50,11 @@ MONTE_CARLO = "monte-carlo"
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one check: residuals, tolerances, pass flag, runtime."""
+    """Outcome of one check: residuals, tolerances, pass flag, runtime.
+
+    ``runtime`` is set by :func:`reference_suite` and covers the report's
+    fixture; a check called directly leaves it at 0.0.
+    """
 
     name: str
     params: dict
@@ -71,7 +79,7 @@ class VerificationReport:
         }
 
 
-def _finish(name, params, residuals, tolerances, tol_class, flags, started) -> VerificationReport:
+def _finish(name, params, residuals, tolerances, tol_class, flags) -> VerificationReport:
     passed = all(
         (v <= tolerances[key]) if not math.isnan(v) else False
         for key, v in residuals.items()
@@ -84,7 +92,6 @@ def _finish(name, params, residuals, tolerances, tol_class, flags, started) -> V
         passed=passed,
         tolerance_class=tol_class,
         flags=tuple(flags),
-        runtime=time.perf_counter() - started,
     )
 
 
@@ -120,20 +127,16 @@ def simplex_fit(points: np.ndarray, target: np.ndarray, x0=None) -> tuple[np.nda
     return alpha, float(np.linalg.norm(points.T @ alpha - target))
 
 
-def check_convex_hull(samples: np.ndarray, w: PointSet, params: dict | None = None) -> VerificationReport:
+def check_convex_hull(samples: np.ndarray, w: PointSet) -> VerificationReport:
     """The sample mean is a convex combination of a fixed point's points."""
-    started = time.perf_counter()
     samples = np.asarray(samples, dtype=float)
     mean = samples.mean(axis=0)
     counts = assign(samples, w).counts
     _, residual = simplex_fit(w.points, mean, x0=counts / counts.sum())
     trace = float(((samples - mean) ** 2).sum(axis=1).mean())
     tol = 1e-3 * math.sqrt(trace)
-    p = {"n": samples.shape[0], "k": w.k, **(params or {})}
-    return _finish(
-        "convex_hull", p, {"simplex_residual": residual}, {"simplex_residual": tol},
-        MONTE_CARLO, (), started,
-    )
+    p = {"n": samples.shape[0], "k": w.k}
+    return _finish("convex_hull", p, {"simplex_residual": residual}, {"simplex_residual": tol}, MONTE_CARLO, ())
 
 
 def check_unitary_equivariance(
@@ -142,7 +145,6 @@ def check_unitary_equivariance(
     nu: np.ndarray,
     rho: float,
     u_mat: np.ndarray,
-    params: dict | None = None,
 ) -> VerificationReport:
     """Similarity transforms x -> nu + rho U x carry fixed points to fixed points.
 
@@ -151,7 +153,6 @@ def check_unitary_equivariance(
     transformed set (stopping tolerance 1e-8) moves no point by more than
     max(1e-8, 10 times the transformed residual).
     """
-    started = time.perf_counter()
     if rho == 0:
         raise UsageError("rho must be nonzero")
     u_mat = np.asarray(u_mat, dtype=float)
@@ -183,25 +184,22 @@ def check_unitary_equivariance(
         "residual_scaling": 1e-10,
         "lloyd_movement": max(fixed_point_tol, 10.0 * res2),
     }
-    p = {"n": samples.shape[0], "k": w.k, "rho": rho, **(params or {})}
-    return _finish("unitary_equivariance", p, residuals, tolerances, EXACT, (), started)
+    p = {"n": samples.shape[0], "k": w.k, "rho": rho}
+    return _finish("unitary_equivariance", p, residuals, tolerances, EXACT, ())
 
 
 def check_kernel_orthogonality(
-    samples: np.ndarray, w: PointSet, model: EllipticalModel, tol_kernel: float = 1e-8, params: dict | None = None
+    samples: np.ndarray, w: PointSet, model: EllipticalModel, tol_kernel: float = 1e-8
 ) -> VerificationReport:
     """A fixed point ``w`` of draws of ``model`` carries no weight on the
     model's zero-eigenvalue coordinates (every entry there at most ``tol_kernel``)."""
-    started = time.perf_counter()
     kernel = np.flatnonzero(model.lam == 0.0)
     if kernel.size == 0:
         raise UsageError("model has no zero eigenvalues; nothing to check")
     residual = float(np.abs(w.points[:, kernel]).max())
-    p = {"model": model.label(), "n": len(samples), **(params or {}), "k": w.k}
-    return _finish(
-        "kernel_orthogonality", p, {"kernel_magnitude": residual},
-        {"kernel_magnitude": tol_kernel}, EXACT, (), started,
-    )
+    p = {"model": model.label(), "n": len(samples), "k": w.k}
+    return _finish("kernel_orthogonality", p, {"kernel_magnitude": residual},
+                   {"kernel_magnitude": tol_kernel}, EXACT, ())
 
 
 def span_rank(svals: np.ndarray) -> tuple[int, bool]:
@@ -230,7 +228,7 @@ def _has_gap(lam: np.ndarray, q: int = 1) -> bool:
 
 def check_eigen_span(
     samples: np.ndarray, w: PointSet, model: EllipticalModel, q_expected: int,
-    rotation: np.ndarray | None = None, angle_tol: float = 0.1, params: dict | None = None,
+    rotation: np.ndarray | None = None, angle_tol: float = 0.1,
 ) -> VerificationReport:
     """Centered fixed points span leading eigendirections.
 
@@ -244,11 +242,10 @@ def check_eigen_span(
     value after the q-th value, and fixtures where a singular value sits
     near the rank cutoff, are flagged indeterminate instead of failed.
     """
-    started = time.perf_counter()
     samples = np.asarray(samples, dtype=float)
-    p = {"model": model.label(), "n": samples.shape[0], **(params or {}), "k": w.k, "q_expected": q_expected}
+    p = {"model": model.label(), "n": samples.shape[0], "k": w.k, "q_expected": q_expected}
     if not _has_gap(model.lam, q_expected):
-        return _finish("eigen_span", p, {}, {}, MONTE_CARLO, ("degenerate-spectrum",), started)
+        return _finish("eigen_span", p, {}, {}, MONTE_CARLO, ("degenerate-spectrum",))
 
     eigvecs = np.eye(model.d) if rotation is None else np.asarray(rotation, dtype=float)
     centered = w.points - samples.mean(axis=0)
@@ -256,20 +253,16 @@ def check_eigen_span(
     rank, ambiguous = span_rank(svals)
     flags = ["ambiguous-rank"] if ambiguous else []
     if rank == 0 or flags:
-        return _finish("eigen_span", p, {}, {}, MONTE_CARLO, tuple(flags) or ("zero-span",), started)
+        return _finish("eigen_span", p, {}, {}, MONTE_CARLO, tuple(flags) or ("zero-span",))
 
-    span = vt[:rank].T
-    target = eigvecs[:, :rank]
-    cosines = np.linalg.svd(span.T @ target, compute_uv=False)
-    max_angle = float(np.arccos(np.clip(cosines, 0.0, 1.0)).max())
+    max_angle = float(principal_angles(vt[:rank].T, eigvecs[:, :rank]).max())
     residuals = {"max_angle": max_angle, "rank_deviation": float(abs(rank - q_expected))}
     tolerances = {"max_angle": angle_tol, "rank_deviation": 0.0}
-    return _finish("eigen_span", p, residuals, tolerances, MONTE_CARLO, (), started)
+    return _finish("eigen_span", p, residuals, tolerances, MONTE_CARLO, ())
 
 
-def check_dimension_bound(samples: np.ndarray, w: PointSet, params: dict | None = None) -> VerificationReport:
+def check_dimension_bound(samples: np.ndarray, w: PointSet) -> VerificationReport:
     """A k-point fixed point of ``samples``, centered at their mean, spans at most k-1 dimensions."""
-    started = time.perf_counter()
     samples = np.asarray(samples, dtype=float)
     mean = samples.mean(axis=0)
     centered = w.points - mean
@@ -279,28 +272,23 @@ def check_dimension_bound(samples: np.ndarray, w: PointSet, params: dict | None 
     rank = int((svals > cutoff).sum())
     residuals = {"rank_excess": float(max(0, rank - (w.k - 1)))}
     tolerances = {"rank_excess": 0.0}
-    p = {"n": samples.shape[0], "k": w.k, **(params or {})}
-    return _finish("dimension_bound", p, residuals, tolerances, EXACT, (), started)
+    p = {"n": samples.shape[0], "k": w.k}
+    return _finish("dimension_bound", p, residuals, tolerances, EXACT, ())
 
 
-def check_projection_self_consistency(
-    samples: np.ndarray, w: PointSet, params: dict | None = None
-) -> VerificationReport:
+def check_projection_self_consistency(samples: np.ndarray, w: PointSet) -> VerificationReport:
     """Projecting onto the span of a fixed point preserves the fixed point.
 
     Distances to in-span points decompose orthogonally, so assignments are
     unchanged and the projected residual cannot exceed the original one
     (up to a relative 1e-9 plus 1e-12, with a floor of 1e-8).
     """
-    started = time.perf_counter()
     samples = np.asarray(samples, dtype=float)
     _, svals, vt = np.linalg.svd(w.points)
     rank = int((svals > 1e-9 * svals[0]).sum()) if svals[0] > 0 else 0
     if rank == 0:
-        return _finish(
-            "projection_self_consistency", {"n": samples.shape[0], "k": w.k, **(params or {})},
-            {}, {}, EXACT, ("zero-span",), started,
-        )
+        p = {"n": samples.shape[0], "k": w.k}
+        return _finish("projection_self_consistency", p, {}, {}, EXACT, ("zero-span",))
     basis_rows = vt[:rank]
     proj_samples = samples @ basis_rows.T
     proj_points = PointSet(w.points @ basis_rows.T)
@@ -308,30 +296,26 @@ def check_projection_self_consistency(
     res_after = self_consistency_residual(proj_samples, proj_points)
     residuals = {"projected_residual": res_after}
     tolerances = {"projected_residual": max(1e-8, res_before * (1.0 + 1e-9) + 1e-12)}
-    p = {"n": samples.shape[0], "k": w.k, "span_dim": rank, **(params or {})}
-    return _finish("projection_self_consistency", p, residuals, tolerances, EXACT, (), started)
+    p = {"n": samples.shape[0], "k": w.k, "span_dim": rank}
+    return _finish("projection_self_consistency", p, residuals, tolerances, EXACT, ())
 
 
 def check_conditional_linearity(
-    model: EllipticalModel,
-    split: SubspaceSplit,
-    n: int,
-    seed: int,
+    samples: np.ndarray, model: EllipticalModel, split: SubspaceSplit
 ) -> VerificationReport:
-    """Least-squares slope of the complement block on the subspace block
-    matches the analytic regression operator; binned conditional means sit
-    on the analytic line.
+    """Least-squares slope of the complement block on the subspace block of
+    ``samples``, draws of ``model``, matches the analytic regression
+    operator; binned conditional means sit on the analytic line.
 
     The slope must match to 5% relative Frobenius error, or, where the
     analytic slope is zero, stay within 4 standard errors of zero.  The
     means over 10 quantile bins of the first subspace coordinate must each
     sit within 4 standard errors of the line (bins under 10 draws skipped).
     """
-    started = time.perf_counter()
     slope = conditional_slope(model, split)
-    draws = sample(model, n, seed)
-    w1 = draws @ split.u_basis.T
-    w2 = draws @ split.complement.T
+    samples = np.asarray(samples, dtype=float)
+    w1 = samples @ split.u_basis.T
+    w2 = samples @ split.complement.T
     w1c = w1 - w1.mean(axis=0)
     w2c = w2 - w2.mean(axis=0)
     solution, _, _, _ = np.linalg.lstsq(w1c, w2c, rcond=None)
@@ -375,13 +359,12 @@ def check_conditional_linearity(
     residuals["binned_mean_max_z"] = max_z
     tolerances["binned_mean_max_z"] = 4.0
 
-    p = {"model": model.label(), "n": n, "seed": seed, "q": split.q}
-    return _finish("conditional_linearity", p, residuals, tolerances, MONTE_CARLO, (), started)
+    p = {"model": model.label(), "n": samples.shape[0], "q": split.q}
+    return _finish("conditional_linearity", p, residuals, tolerances, MONTE_CARLO, ())
 
 
 def check_ratio_invariance(law: UnivariateLaw, rhos, k: int, label: str = "") -> VerificationReport:
     """The scale-free quantization ratio D(k)/Var is invariant under scaling (spread at most 1e-6)."""
-    started = time.perf_counter()
     rhos = [float(r) for r in rhos]
     if any(r == 0 for r in rhos):
         raise UsageError("scale factors must be nonzero")
@@ -394,26 +377,21 @@ def check_ratio_invariance(law: UnivariateLaw, rhos, k: int, label: str = "") ->
     residuals = {"ratio_spread": float(max(values) - min(values))}
     tolerances = {"ratio_spread": 1e-6}
     p = {"law": label or type(law).__name__, "k": k, "rhos": rhos}
-    return _finish("ratio_invariance", p, residuals, tolerances, QUADRATURE, (), started)
+    return _finish("ratio_invariance", p, residuals, tolerances, QUADRATURE, ())
 
 
-def check_mse_identity(
-    model: EllipticalModel,
-    directions,
-    n: int,
-    seed: int,
-) -> VerificationReport:
+def check_mse_identity(samples: np.ndarray, model: EllipticalModel, directions) -> VerificationReport:
     """Two-point quantization error along a unit direction a equals
     trace(Cov) - (1 - g) <a, Cov a>, minimized at the top eigendirection.
 
-    Each direction's measured error must match the identity to 2%, and the
+    The error is measured on ``samples``, draws of ``model``.  Each
+    direction's measured error must match the identity to 2%, and the
     measured and predicted minimizing directions must be the same one.
     """
-    started = time.perf_counter()
     g = g_constant(model)
     ez2 = model.mixture.second_moment()
     trace_cov = ez2 * float(model.lam.sum())
-    draws = sample(model, n, seed)
+    samples = np.asarray(samples, dtype=float)
 
     residuals = {}
     tolerances = {}
@@ -427,7 +405,7 @@ def check_mse_identity(
         law = model.mixture.projection_law(math.sqrt(shape_var))
         offsets = univariate_principal_points(law, 2)
         points = PointSet(model.mu + offsets[:, None] * a)
-        mse = empirical_mse(draws, points)
+        mse = empirical_mse(samples, points)
         pred = trace_cov - (1.0 - g) * ez2 * shape_var
         measured.append(mse)
         predicted.append(pred)
@@ -436,8 +414,8 @@ def check_mse_identity(
     residuals["argmin_mismatch"] = float(int(np.argmin(measured)) != int(np.argmin(predicted)))
     tolerances["argmin_mismatch"] = 0.0
 
-    p = {"model": model.label(), "n": n, "seed": seed, "directions": len(measured), "g": g}
-    return _finish("mse_identity", p, residuals, tolerances, MONTE_CARLO, (), started)
+    p = {"model": model.label(), "n": samples.shape[0], "directions": len(measured), "g": g}
+    return _finish("mse_identity", p, residuals, tolerances, MONTE_CARLO, ())
 
 
 def reference_models() -> list[EllipticalModel]:
@@ -451,12 +429,17 @@ def reference_models() -> list[EllipticalModel]:
 _N_MID = 50_000  # draws per Lloyd fixture; the Monte Carlo checks take the suite's full n
 
 
+def _labelled(report, model, seed):
+    """``report`` with the suite's labels: the ``model`` its draws came from and their ``seed``."""
+    return replace(report, params={**report.params, "model": model.label(), "seed": seed})
+
+
 def _on_fixture(check, model, k, n, seed, jobs, *args):
     """``check`` run on ``n`` draws of ``model`` and a k-point Lloyd fixed point on them, both from
     ``seed``: the one place the suite solves a fixture, with ``jobs`` threads for its five restarts."""
     draws = sample(model, n, seed)
     points, _ = lloyd(draws, k, tol=1e-10, restarts=5, seed=seed, jobs=jobs)
-    return check(draws, points, *args, params={"model": model.label(), "seed": seed})
+    return _labelled(check(draws, points, *args), model, seed)
 
 
 def _models(rule=None):
@@ -474,13 +457,14 @@ def _eigen_span_row(model, n, seed, jobs):
     flagged, as the check would flag it, before any fixture is drawn."""
     if _has_gap(model.lam):
         return _on_fixture(check_eigen_span, model, 2, n, seed, jobs, model, 1)
-    p = {"model": model.label(), "n": n, "seed": seed, "k": 2, "q_expected": 1}
-    return _finish("eigen_span", p, {}, {}, MONTE_CARLO, ("degenerate-spectrum",), time.perf_counter())
+    p = {"model": model.label(), "n": n, "k": 2, "q_expected": 1, "seed": seed}
+    return _finish("eigen_span", p, {}, {}, MONTE_CARLO, ("degenerate-spectrum",))
 
 
 # The reference suite in report order.  Each row names a check, gives the rule
 # for the reference models it runs on, and runs it as run(model, base seed, n,
-# jobs), building its fixture first; the seed offsets from the base are part of
+# jobs), drawing its samples and building its fixture first and labelling the
+# report with its model and seed; the seed offsets from the base are part of
 # the exported reports.  Rows reach checks and solvers through this module's
 # global names when they run, so a wrapper set on the module sees every call.
 _SUITE = (
@@ -496,10 +480,12 @@ _SUITE = (
     ("unitary_equivariance", _models(lambda m: _has_gap(m.lam)), lambda m, s, n, jobs: _on_fixture(
         check_unitary_equivariance, m, 2, min(n, _N_MID), s + 6, jobs,
         np.linspace(0.5, -0.5, m.d), 2.0, random_orthogonal(m.d, s + 7))),
-    ("conditional_linearity", _models(lambda m: m.lam[-1] > 0), lambda m, s, n, jobs: check_conditional_linearity(
-        m, SubspaceSplit(u_basis=random_orthogonal(m.d, s + 8)[:1]), n, s + 8)),
-    ("mse_identity", _models(lambda m: _has_gap(m.lam) and m.lam[1] > 0), lambda m, s, n, jobs: check_mse_identity(
-        m, [*np.eye(m.d)[:2], np.eye(m.d)[:2].sum(axis=0) / math.sqrt(2.0)], n, s + 9)),
+    ("conditional_linearity", _models(lambda m: m.lam[-1] > 0), lambda m, s, n, jobs: _labelled(
+        check_conditional_linearity(sample(m, n, s + 8), m, SubspaceSplit(u_basis=random_orthogonal(m.d, s + 8)[:1])),
+        m, s + 8)),
+    ("mse_identity", _models(lambda m: _has_gap(m.lam) and m.lam[1] > 0), lambda m, s, n, jobs: _labelled(
+        check_mse_identity(sample(m, n, s + 9), m, [*np.eye(m.d)[:2], np.eye(m.d)[:2].sum(axis=0) / math.sqrt(2.0)]),
+        m, s + 9)),
     ("ratio_invariance", _after_models, lambda m, s, n, jobs: check_ratio_invariance(
         NormalMixtureLaw(weights=(1.0,), scales=(1.0,)), [0.5, 2.0, 10.0], 2, label="normal")),
     ("ratio_invariance", _after_models, lambda m, s, n, jobs: check_ratio_invariance(
@@ -513,12 +499,14 @@ def reference_suite(seed: int = 0, n: int = 200_000, checks=None, jobs: int = 1)
     """Run the selected checks over the reference models.
 
     ``checks`` is a list of names from :data:`ALL_CHECKS` (default: all).
-    Each check derives its own seeds from ``seed``, so runs are
-    reproducible and independent of execution order.  A report's
-    ``runtime`` covers its fixture as well as its check.  Every check that
-    judges a Lloyd fixed point is handed one fixture, drawn and solved in
-    one place, and ``jobs`` threads run the restarts of every such solve;
-    only ``unitary_equivariance``'s refit from given points is a single run.
+    The suite alone draws samples, from seeds derived from ``seed`` so that
+    runs are reproducible and independent of execution order; it labels
+    each report with its model and seed and sets its ``runtime`` (0.0 for a
+    check called directly), which covers its draws and fixture as well as
+    its check.  Every check that judges a Lloyd fixed point is handed one
+    fixture, drawn and solved in one place, and ``jobs`` threads run the
+    restarts of every such solve; only ``unitary_equivariance``'s refit
+    from given points is a single run.
     """
     selected = list(ALL_CHECKS) if checks is None else list(checks)
     unknown = [c for c in selected if c not in ALL_CHECKS]

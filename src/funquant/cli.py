@@ -169,7 +169,7 @@ def _parse_scenario(task: str, cfg: dict, args) -> Scenario:
             unknown = [c for c in checks if c not in ALL_CHECKS]
             _expect(not unknown, f"config.checks: unknown names {unknown}; valid: {list(ALL_CHECKS)}")
         scenario.checks = checks
-        scenario.n = _count(cfg, "n", 200_000, high=200_000)
+        scenario.n = _count(cfg, "n", 200_000, low=3, high=200_000)  # 3: the largest fixture k
 
     if task == "report":
         inputs = cfg.get("inputs")

@@ -152,12 +152,12 @@ def test_criterion_6_conditional_mean_linearity():
     for mixture in (ScaleMixture.gaussian(), ScaleMixture.student_t(5.0)):
         model = EllipticalModel(mu=np.zeros(2), lam=np.array([2.0, 1.0]), mixture=mixture)
         rotated = SubspaceSplit(u_basis=random_orthogonal(2, seed=6)[:1])
-        report = check_conditional_linearity(model, rotated, 200_000, seed=6)
+        report = check_conditional_linearity(sample(model, 200_000, 6), model, rotated)
         assert report.passed
         assert report.residuals["slope_rel_frobenius"] < 0.05
 
         aligned = SubspaceSplit(u_basis=np.eye(2)[:1])
-        report = check_conditional_linearity(model, aligned, 200_000, seed=16)
+        report = check_conditional_linearity(sample(model, 200_000, 16), model, aligned)
         assert report.passed
         assert report.residuals["slope_max_z"] < 4.0
     ok(6, "regression slope matches the analytic operator (5% rotated, 4 SE aligned)")

@@ -207,7 +207,7 @@ class TestConditionalLinearity:
     def test_eigen_aligned_slope_is_noise(self):
         model = gaussian_model([4.0, 1.0, 0.25])
         split = SubspaceSplit(u_basis=np.eye(3)[:1])
-        report = check_conditional_linearity(model, split, 100_000, seed=21)
+        report = check_conditional_linearity(sample(model, 100_000, 21), model, split)
         assert report.passed
         assert "slope_max_z" in report.residuals
 
@@ -215,7 +215,7 @@ class TestConditionalLinearity:
     def test_rotated_split(self, mixture):
         model = EllipticalModel(mu=np.zeros(2), lam=np.array([2.0, 1.0]), mixture=mixture)
         split = SubspaceSplit(u_basis=random_orthogonal(2, seed=22)[:1])
-        report = check_conditional_linearity(model, split, 200_000, seed=22)
+        report = check_conditional_linearity(sample(model, 200_000, 22), model, split)
         assert report.passed
         assert report.residuals["slope_rel_frobenius"] < 0.05
 
@@ -243,7 +243,7 @@ class TestRatioInvariance:
 class TestMseIdentity:
     def test_unit_variance_single_direction(self):
         model = gaussian_model([1.0, 0.0])
-        report = check_mse_identity(model, [np.array([1.0, 0.0])], 100_000, seed=23)
+        report = check_mse_identity(sample(model, 100_000, 23), model, [np.array([1.0, 0.0])])
         assert report.passed
         # identity value reduces to g itself
         assert report.params["g"] == pytest.approx(1.0 - 2.0 / np.pi, abs=1e-9)
@@ -254,7 +254,7 @@ class TestMseIdentity:
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
         mix = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        report = check_mse_identity(model, [e1, e2, mix], 200_000, seed=24)
+        report = check_mse_identity(sample(model, 200_000, 24), model, [e1, e2, mix])
         assert report.passed
         assert report.residuals["argmin_mismatch"] == 0.0
 
@@ -264,13 +264,14 @@ class TestMseIdentity:
         assert 5.0 - (1.0 - g) * 4.0 == pytest.approx(2.45352, abs=1e-4)
         assert 5.0 - (1.0 - g) * 1.0 == pytest.approx(4.36338, abs=1e-4)
         report = check_mse_identity(
-            model, [np.array([1.0, 0.0]), np.array([0.0, 1.0])], 200_000, seed=25
+            sample(model, 200_000, 25), model, [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         )
         assert report.passed
 
     def test_non_unit_direction_rejected(self):
+        model = gaussian_model([1.0])
         with pytest.raises(UsageError):
-            check_mse_identity(gaussian_model([1.0]), [np.array([2.0])], 100, seed=0)
+            check_mse_identity(sample(model, 100, 0), model, [np.array([2.0])])
 
 
 # (name, model or law label, params seed) of reference_suite(seed=3, n=2000): the
@@ -280,14 +281,15 @@ class TestRecordedTolerances:
 
     def test_conditional_linearity(self):
         model = gaussian_model([4.0, 1.0, 0.25])
-        aligned = check_conditional_linearity(model, SubspaceSplit(u_basis=np.eye(3)[:1]), 2000, seed=40)
+        aligned = check_conditional_linearity(sample(model, 2000, 40), model, SubspaceSplit(u_basis=np.eye(3)[:1]))
         assert aligned.tolerances == {"slope_max_z": 4.0, "binned_mean_max_z": 4.0}
         rotated = SubspaceSplit(u_basis=random_orthogonal(3, seed=40)[:1])
-        report = check_conditional_linearity(model, rotated, 2000, seed=40)
+        report = check_conditional_linearity(sample(model, 2000, 40), model, rotated)
         assert report.tolerances == {"slope_rel_frobenius": 0.05, "binned_mean_max_z": 4.0}
 
     def test_mse_identity(self):
-        report = check_mse_identity(gaussian_model([4.0, 1.0]), list(np.eye(2)), 2000, seed=41)
+        model = gaussian_model([4.0, 1.0])
+        report = check_mse_identity(sample(model, 2000, 41), model, list(np.eye(2)))
         assert report.tolerances == {
             "identity_rel_error_0": 0.02, "identity_rel_error_1": 0.02, "argmin_mismatch": 0.0,
         }
@@ -388,6 +390,22 @@ SUITE_SOLVES_SEED3 = [
 ]
 
 
+def _draws(label, seeds):
+    return [(label, 2000, seed) for seed in seeds]
+
+
+# (model label, n, seed) of every sample call of reference_suite(seed=3, n=2000), in
+# call order: the fixtures' draws and the Monte Carlo checks' draws at offsets 8 and 9
+SUITE_DRAWS_SEED3 = [
+    *_draws("gaussian|lam=(4,1,0.25)", [4, 5, 7, 8, 9, 11, 12]),
+    *_draws("t5|lam=(4,1,0.25)", [1004, 1005, 1007, 1008, 1009, 1011, 1012]),
+    *_draws("gaussian|lam=(1,1,1)", [2004, 2005, 2011]),
+    *_draws("t5|lam=(1,1,1)", [3004, 3005, 3011]),
+    *_draws("gaussian|lam=(1,0)", [4004, 4005, 4006, 4007, 4008, 4009]),
+    *_draws("t5|lam=(1,0)", [5004, 5005, 5006, 5007, 5008, 5009]),
+]
+
+
 def suite_keys(reports):
     return [(r.name, r.params.get("model", r.params.get("law")), r.params.get("seed")) for r in reports]
 
@@ -447,6 +465,19 @@ class TestReferenceSuite:
         assert [call for call, _ in calls] == SUITE_SOLVES_SEED3
         assert all(jobs == 2 for call, jobs in calls if call[2] == "kmeans++")
 
+    def test_every_suite_draw_is_pinned(self, monkeypatch):
+        import funquant.checks
+
+        real, calls = funquant.checks.sample, []
+
+        def recorder(model, n, seed):
+            calls.append((model.label(), n, seed))
+            return real(model, n, seed)
+
+        monkeypatch.setattr(funquant.checks, "sample", recorder)
+        reference_suite(seed=3, n=2000)
+        assert calls == SUITE_DRAWS_SEED3
+
     def test_unknown_check_rejected(self):
         with pytest.raises(UsageError):
             reference_suite(checks=["nonexistent"])
@@ -455,7 +486,7 @@ class TestReferenceSuite:
         report = check_dimension_bound(*fixed_point(gaussian_model([2.0, 1.0]), 2, 500, seed=1, restarts=2))
         payload = report.to_dict()
         assert "runtime" not in payload
-        assert report.runtime > 0.0
+        assert report.runtime == 0.0
         assert set(payload) == {
             "name", "params", "residuals", "tolerances", "passed", "tolerance_class", "flags",
         }
@@ -495,7 +526,7 @@ def test_monte_carlo_residuals_shrink_with_n():
 
     def linearity_median(n):
         return np.median([
-            check_conditional_linearity(model, split, n, seed=100 + s).residuals[
+            check_conditional_linearity(sample(model, n, 100 + s), model, split).residuals[
                 "slope_rel_frobenius"
             ]
             for s in range(10)
@@ -514,7 +545,7 @@ def test_monte_carlo_residuals_shrink_with_n():
         return np.median([
             max(
                 v
-                for key, v in check_mse_identity(wide, directions, n, seed=300 + s).residuals.items()
+                for key, v in check_mse_identity(sample(wide, n, 300 + s), wide, directions).residuals.items()
                 if key.startswith("identity")
             )
             for s in range(10)

@@ -334,6 +334,10 @@ class TestSchemaErrors:
             pytest.param("kmeans", '"tol": 1' + "0" * 400, "config.tol", id="kmeans-huge-int-tol"),
             ("verify", '"n": 1.5', "config.n"),
             ("verify", '"n": "200"', "config.n"),
+            # below the largest fixture k: a solver error or a singular regression otherwise
+            ("verify", '"n": 1, "checks": ["conditional_linearity"]', "config.n"),
+            ("verify", '"n": 1', "config.n"),
+            ("verify", '"n": 2', "config.n"),
             ("kmeans", '"basis": {"grid": "abc"}', "config.basis.grid"),
             ("kmeans", '"basis": {"grid": [0, 0.5, "x"]}', "config.basis.grid"),
             ("kmeans", '"basis": {"grid": [0, NaN, 1]}', "config.basis.grid"),
