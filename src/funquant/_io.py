@@ -11,8 +11,6 @@ import os
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 
 def fmt12(x) -> str:
     """Format a float with 12 significant digits, shortest form."""
@@ -35,12 +33,6 @@ def round12(obj):
         return {k: round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [round12(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(fmt12(obj))
-    if isinstance(obj, np.ndarray):
-        return round12(obj.tolist())
     raise TypeError(f"cannot serialise object of type {type(obj)!r}")
 
 

@@ -442,16 +442,6 @@ def _on_fixture(check, model, k, n, seed, jobs, *args):
     return _labelled(check(draws, points, *args), model, seed)
 
 
-def _models(rule=None):
-    """Row rule: the reference models for which ``rule`` holds (every one by default)."""
-    return lambda model: model is not None and (rule is None or bool(rule(model)))
-
-
-def _after_models(model) -> bool:
-    """Row rule: one pass after the reference models, for checks on 1-d laws."""
-    return model is None
-
-
 def _eigen_span_row(model, n, seed, jobs):
     """eigen_span with k=2, q=1; a model with no gap after its top value is
     flagged, as the check would flag it, before any fixture is drawn."""
@@ -461,45 +451,52 @@ def _eigen_span_row(model, n, seed, jobs):
     return _finish("eigen_span", p, {}, {}, MONTE_CARLO, ("degenerate-spectrum",))
 
 
-# The reference suite in report order.  Each row names a check, gives the rule
-# for the reference models it runs on, and runs it as run(model, base seed, n,
-# jobs), drawing its samples and building its fixture first and labelling the
-# report with its model and seed; the seed offsets from the base are part of
-# the exported reports.  Rows reach checks and solvers through this module's
-# global names when they run, so a wrapper set on the module sees every call.
-_SUITE = (
-    ("convex_hull", _models(), lambda m, s, n, jobs: _on_fixture(
+# The reference suite in report order.  Each model row names a check, gives
+# the rule for the reference models it runs on (None: every model), and runs it
+# as run(model, base seed, n, jobs), drawing its samples and building its
+# fixture first and labelling the report with its model and seed; the seed
+# offsets from the base are part of the exported reports.  The law rows run
+# once, after every model, on fixed one-dimensional laws.  Rows reach checks
+# and solvers through this module's global names when they run, so a wrapper
+# set on the module sees every call.
+_MODEL_ROWS = (
+    ("convex_hull", None, lambda m, s, n, jobs: _on_fixture(
         check_convex_hull, m, 3, min(n, _N_MID), s + 1, jobs)),
-    ("dimension_bound", _models(), lambda m, s, n, jobs: _on_fixture(
+    ("dimension_bound", None, lambda m, s, n, jobs: _on_fixture(
         check_dimension_bound, m, 3, min(n, _N_MID), s + 2, jobs)),
-    ("kernel_orthogonality", _models(lambda m: np.any(m.lam == 0.0)), lambda m, s, n, jobs: _on_fixture(
+    ("kernel_orthogonality", lambda m: np.any(m.lam == 0.0), lambda m, s, n, jobs: _on_fixture(
         check_kernel_orthogonality, m, 2, min(n, _N_MID), s + 3, jobs, m)),
-    ("eigen_span", _models(), lambda m, s, n, jobs: _eigen_span_row(m, min(n, 100_000), s + 4, jobs)),
-    ("projection_self_consistency", _models(lambda m: _has_gap(m.lam)), lambda m, s, n, jobs: _on_fixture(
+    ("eigen_span", None, lambda m, s, n, jobs: _eigen_span_row(m, min(n, 100_000), s + 4, jobs)),
+    ("projection_self_consistency", lambda m: _has_gap(m.lam), lambda m, s, n, jobs: _on_fixture(
         check_projection_self_consistency, m, 2, min(n, _N_MID), s + 5, jobs)),
-    ("unitary_equivariance", _models(lambda m: _has_gap(m.lam)), lambda m, s, n, jobs: _on_fixture(
+    ("unitary_equivariance", lambda m: _has_gap(m.lam), lambda m, s, n, jobs: _on_fixture(
         check_unitary_equivariance, m, 2, min(n, _N_MID), s + 6, jobs,
         np.linspace(0.5, -0.5, m.d), 2.0, random_orthogonal(m.d, s + 7))),
-    ("conditional_linearity", _models(lambda m: m.lam[-1] > 0), lambda m, s, n, jobs: _labelled(
+    ("conditional_linearity", lambda m: m.lam[-1] > 0, lambda m, s, n, jobs: _labelled(
         check_conditional_linearity(sample(m, n, s + 8), m, SubspaceSplit(u_basis=random_orthogonal(m.d, s + 8)[:1])),
         m, s + 8)),
-    ("mse_identity", _models(lambda m: _has_gap(m.lam) and m.lam[1] > 0), lambda m, s, n, jobs: _labelled(
+    ("mse_identity", lambda m: _has_gap(m.lam) and m.lam[1] > 0, lambda m, s, n, jobs: _labelled(
         check_mse_identity(sample(m, n, s + 9), m, [*np.eye(m.d)[:2], np.eye(m.d)[:2].sum(axis=0) / math.sqrt(2.0)]),
         m, s + 9)),
-    ("ratio_invariance", _after_models, lambda m, s, n, jobs: check_ratio_invariance(
+)
+_LAW_ROWS = (
+    ("ratio_invariance", lambda: check_ratio_invariance(
         NormalMixtureLaw(weights=(1.0,), scales=(1.0,)), [0.5, 2.0, 10.0], 2, label="normal")),
-    ("ratio_invariance", _after_models, lambda m, s, n, jobs: check_ratio_invariance(
+    ("ratio_invariance", lambda: check_ratio_invariance(
         UniformLaw(0.0, 1.0), [0.5, 2.0, 10.0], 3, label="uniform(0,1)")),
 )
 
-ALL_CHECKS = tuple(dict.fromkeys(name for name, _, _ in _SUITE))
+ALL_CHECKS = tuple(dict.fromkeys(row[0] for row in _MODEL_ROWS + _LAW_ROWS))
+
+# The fewest draws the suite takes: its largest Lloyd fixture has k = 3 points.
+SUITE_MIN_N = 3
 
 
 def reference_suite(seed: int = 0, n: int = 200_000, checks=None, jobs: int = 1) -> list[VerificationReport]:
     """Run the selected checks over the reference models.
 
-    ``checks`` is a list of names from :data:`ALL_CHECKS` (default: all).
-    The suite alone draws samples, from seeds derived from ``seed`` so that
+    ``checks`` is a list of names from :data:`ALL_CHECKS` (default: all),
+    and ``n`` is at least :data:`SUITE_MIN_N`.  The suite alone draws samples, from seeds derived from ``seed`` so that
     runs are reproducible and independent of execution order; it labels
     each report with its model and seed and sets its ``runtime`` (0.0 for a
     check called directly), which covers its draws and fixture as well as
@@ -512,13 +509,16 @@ def reference_suite(seed: int = 0, n: int = 200_000, checks=None, jobs: int = 1)
     unknown = [c for c in selected if c not in ALL_CHECKS]
     if unknown:
         raise UsageError(f"unknown checks: {unknown}; expected names from {ALL_CHECKS}")
+    if n < SUITE_MIN_N:
+        raise UsageError(f"n must be >= {SUITE_MIN_N} (the largest fixture k), got {n}")
 
-    passes = [(model, seed + 1000 * idx) for idx, model in enumerate(reference_models())] + [(None, seed)]
+    runs = [(name, run, (model, seed + 1000 * idx, n, jobs))
+            for idx, model in enumerate(reference_models())
+            for name, applies, run in _MODEL_ROWS if applies is None or applies(model)]
     reports: list[VerificationReport] = []
-    for model, base in passes:
-        for name, applies, run in _SUITE:
-            if name in selected and applies(model):
-                started = time.perf_counter()
-                report = run(model, base, n, jobs)
-                reports.append(replace(report, runtime=time.perf_counter() - started))
+    for name, run, args in runs + [(name, run, ()) for name, run in _LAW_ROWS]:
+        if name in selected:
+            started = time.perf_counter()
+            report = run(*args)
+            reports.append(replace(report, runtime=time.perf_counter() - started))
     return reports

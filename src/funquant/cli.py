@@ -23,16 +23,14 @@ import numpy as np
 
 from . import __version__
 from .basis import FOURIER, SYNTHETIC, Basis, make_basis, write_curve_csv
-from .checks import ALL_CHECKS, reference_suite
+from .checks import ALL_CHECKS, SUITE_MIN_N, reference_suite
 from .errors import ConfigError, DegenerateDirectionError, FunquantError, SingularityError, UsageError
 from .estimates import estimate, write_estimate_json
 from .models import (
     EllipticalModel, covariance_operator, is_finite_number, model_from_dict, sample, write_samples_csv,
 )
-from .quantize import closed_form_two_points, g_constant, lloyd, write_pointset_json
+from .quantize import PointSet, closed_form_two_points, g_constant, lloyd, write_pointset_json
 from ._io import atomic_write, write_json
-
-TASKS = ("simulate", "estimate", "kmeans", "closed-form", "verify", "report")
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -169,7 +167,7 @@ def _parse_scenario(task: str, cfg: dict, args) -> Scenario:
             unknown = [c for c in checks if c not in ALL_CHECKS]
             _expect(not unknown, f"config.checks: unknown names {unknown}; valid: {list(ALL_CHECKS)}")
         scenario.checks = checks
-        scenario.n = _count(cfg, "n", 200_000, low=3, high=200_000)  # 3: the largest fixture k
+        scenario.n = _count(cfg, "n", 200_000, low=SUITE_MIN_N, high=200_000)
 
     if task == "report":
         inputs = cfg.get("inputs")
@@ -192,15 +190,17 @@ def _write_manifest(scenario: Scenario, cfg_text: str) -> None:
     })
 
 
-def _export_curves(scenario: Scenario, points: np.ndarray) -> list[Path]:
-    paths = []
-    if scenario.basis is None:
-        return paths
-    for i, row in enumerate(points):
-        path = scenario.out / f"point_{i + 1}.csv"
-        write_curve_csv(path, scenario.basis, row)
-        paths.append(path)
-    return paths
+def _write_points(scenario: Scenario, points: PointSet, mse: float, residual: float, note: str) -> int:
+    """Write and print ``pointset.json``, then, given a basis, one curve CSV per point."""
+    path = scenario.out / "pointset.json"
+    write_pointset_json(path, points, mse, residual)
+    print(f"wrote {path} ({note})")
+    if scenario.basis is not None:
+        for i, row in enumerate(points.points):
+            curve = scenario.out / f"point_{i + 1}.csv"
+            write_curve_csv(curve, scenario.basis, row)
+            print(f"wrote {curve}")
+    return _EXIT_OK
 
 
 def _run_simulate(scenario: Scenario) -> int:
@@ -233,12 +233,8 @@ def _run_kmeans(scenario: Scenario) -> int:
     )
     if not math.isfinite(report.self_consistency_residual):  # a domain stayed empty
         raise SingularityError(f"config.k: the draws have fewer than k={scenario.k} distinct rows")
-    path = scenario.out / "pointset.json"
-    write_pointset_json(path, points, report.final_mse, report.self_consistency_residual)
-    print(f"wrote {path} (iterations={report.iterations}, converged={report.converged})")
-    for curve in _export_curves(scenario, points.points):
-        print(f"wrote {curve}")
-    return _EXIT_OK
+    return _write_points(scenario, points, report.final_mse, report.self_consistency_residual,
+                         f"iterations={report.iterations}, converged={report.converged}")
 
 
 def _run_closed_form(scenario: Scenario) -> int:
@@ -249,12 +245,7 @@ def _run_closed_form(scenario: Scenario) -> int:
         raise ConfigError(f"config.model: {exc}") from exc
     gamma = covariance_operator(scenario.model)
     mse = float(np.trace(gamma)) - (1.0 - g) * float(gamma[0, 0])
-    path = scenario.out / "pointset.json"
-    write_pointset_json(path, points, mse, 0.0)
-    print(f"wrote {path} (analytic mse={mse:.6g}, g={g:.6g})")
-    for curve in _export_curves(scenario, points.points):
-        print(f"wrote {curve}")
-    return _EXIT_OK
+    return _write_points(scenario, points, mse, 0.0, f"analytic mse={mse:.6g}, g={g:.6g}")
 
 
 def _run_verify(scenario: Scenario) -> int:
@@ -275,7 +266,8 @@ def _run_verify(scenario: Scenario) -> int:
             failed += 1
         key = _worst(r.residuals, r.tolerances)
         worst = "" if key is None else f" {key}={r.residuals[key]:.3g} (tol {r.tolerances[key]:.3g})"
-        print(f"[{status}] {r.name} [{r.tolerance_class}] {r.params.get('model', '')}{worst} ({r.runtime:.2f}s)")
+        label = r.params.get("model", r.params.get("law", ""))
+        print(f"[{status}] {r.name} [{r.tolerance_class}] {label}{worst} ({r.runtime:.2f}s)")
     return _EXIT_CHECK_FAILED if failed else _EXIT_OK
 
 
@@ -372,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulate elliptical random functions and compute their principal points.",
     )
     sub = parser.add_subparsers(dest="task", required=True)
-    for task in TASKS:
+    for task in _RUNNERS:
         p = sub.add_parser(task, help=f"run the {task} task from a JSON config")
         p.add_argument("--config", required=True, help="path to the scenario config (JSON)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")

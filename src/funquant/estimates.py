@@ -29,10 +29,6 @@ class CovarianceEstimate:
     n: int
     degenerate_pairs: tuple[tuple[int, int], ...] = field(default=())
 
-    @property
-    def d(self) -> int:
-        return self.mean_hat.shape[0]
-
     def top_eigvecs(self, q: int) -> np.ndarray:
         """Columns spanning the leading q-dimensional eigenspace."""
         return self.eigvecs[:, :q]

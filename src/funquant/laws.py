@@ -170,8 +170,6 @@ class NormalMixtureLaw(UnivariateLaw):
 
         if not 0.0 < p < 1.0:
             raise UsageError(f"quantile level must be in (0, 1), got {p}")
-        if len(self.scales) == 1:
-            return self.loc + self.scales[0] * float(special.ndtri(p))
         qs = [self.loc + s * float(special.ndtri(p)) for s in self.scales]
         lo, hi = min(qs), max(qs)
         if hi - lo < 1e-300:

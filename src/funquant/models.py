@@ -29,6 +29,9 @@ GAUSSIAN = "gaussian"
 STUDENT_T = "student_t"
 TWO_POINT = "two_point"
 
+# The parameters each mixture kind takes, in their JSON order.
+_PARAMETERS = {GAUSSIAN: (), STUDENT_T: ("nu",), TWO_POINT: ("z1", "z2", "p")}
+
 
 def is_finite_number(value) -> bool:
     """True for a finite int or float; bools, strings, null, containers, NaN and +-inf fail."""
@@ -43,7 +46,9 @@ class ScaleMixture:
     nu > 2 (so second moments exist), ``two_point`` takes the value z1 with
     probability p and z2 otherwise.  Zero values are admitted for the
     two-point kind (the sampler degenerates gracefully) but such mixtures
-    have no projection density.
+    have no projection density.  The parameters of each kind are listed
+    once, in ``_PARAMETERS``, which construction, ``to_dict`` and
+    ``from_dict`` all read.
     """
 
     kind: str
@@ -53,20 +58,18 @@ class ScaleMixture:
     p: float | None = None
 
     def __post_init__(self):
-        if self.kind == GAUSSIAN:
-            pass
-        elif self.kind == STUDENT_T:
-            if self.nu is None or not self.nu > 2:
-                raise ConfigError(f"student_t mixture needs nu > 2, got {self.nu!r}")
-        elif self.kind == TWO_POINT:
-            if self.z1 is None or self.z2 is None or self.p is None:
-                raise ConfigError("two_point mixture needs z1, z2 and p")
+        if not isinstance(self.kind, str) or self.kind not in _PARAMETERS:
+            raise ConfigError(f"unknown mixture kind {self.kind!r}")
+        for name in _PARAMETERS[self.kind]:
+            if getattr(self, name) is None:
+                raise ConfigError(f"{self.kind} mixture needs {name}")
+        if self.kind == STUDENT_T and not self.nu > 2:
+            raise ConfigError(f"student_t mixture needs nu > 2, got {self.nu!r}")
+        if self.kind == TWO_POINT:
             if self.z1 < 0 or self.z2 < 0:
                 raise ConfigError("two_point values must be nonnegative")
             if not 0.0 <= self.p <= 1.0:
                 raise ConfigError(f"two_point probability must be in [0, 1], got {self.p}")
-        else:
-            raise ConfigError(f"unknown mixture kind {self.kind!r}")
 
     @classmethod
     def gaussian(cls) -> "ScaleMixture":
@@ -115,32 +118,22 @@ class ScaleMixture:
         return self.projection_law(1.0 / np.sqrt(self.second_moment()))
 
     def to_dict(self) -> dict:
-        if self.kind == GAUSSIAN:
-            return {"kind": GAUSSIAN}
-        if self.kind == STUDENT_T:
-            return {"kind": STUDENT_T, "nu": self.nu}
-        return {"kind": TWO_POINT, "z1": self.z1, "z2": self.z2, "p": self.p}
+        return {"kind": self.kind, **{name: getattr(self, name) for name in _PARAMETERS[self.kind]}}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ScaleMixture":
         if not isinstance(payload, dict) or "kind" not in payload:
             raise ConfigError("mixture: expected an object with a 'kind' field")
         kind = payload["kind"]
-        for key in ("nu", "z1", "z2", "p"):
+        for key in sum(_PARAMETERS.values(), ()):
             if key in payload and not is_finite_number(payload[key]):
                 raise ConfigError(f"mixture.{key}: finite number required, got {payload[key]!r}")
-        if kind == GAUSSIAN:
-            return cls.gaussian()
-        if kind == STUDENT_T:
-            if "nu" not in payload:
-                raise ConfigError("mixture.nu: required for student_t")
-            return cls.student_t(payload["nu"])
-        if kind == TWO_POINT:
-            for key in ("z1", "z2", "p"):
-                if key not in payload:
-                    raise ConfigError(f"mixture.{key}: required for two_point")
-            return cls.two_point(payload["z1"], payload["z2"], payload["p"])
-        raise ConfigError(f"mixture.kind: unknown value {kind!r}")
+        if not isinstance(kind, str) or kind not in _PARAMETERS:
+            raise ConfigError(f"mixture.kind: unknown value {kind!r}")
+        for key in _PARAMETERS[kind]:
+            if key not in payload:
+                raise ConfigError(f"mixture.{key}: required for {kind}")
+        return cls(kind=kind, **{key: float(payload[key]) for key in _PARAMETERS[kind]})
 
     def label(self) -> str:
         if self.kind == GAUSSIAN:

@@ -237,9 +237,10 @@ def _kmeanspp_init(samples: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return np.array(centers)
 
 
-def _lloyd_once(samples, centered, k, rng, tol, max_iter, init_points):
-    # The assignment made after the last update gives the final mse and residual.
-    points = _kmeanspp_init(samples, k, rng) if init_points is None else np.array(init_points, dtype=float)
+def _lloyd_once(samples, centered, points, tol, max_iter):
+    # One run from the start ``points``, which it never writes to; the
+    # assignment made after the last update gives the final mse and residual.
+    k = points.shape[0]
     labels, d2min = _nearest(samples, points, centered)
     mse_history, converged, iterations = [], False, 0
     while iterations < max_iter and not converged:
@@ -305,8 +306,8 @@ def lloyd(
         streams = np.random.SeedSequence([seed, 1]).spawn(restarts)
 
         def run(stream):
-            gen = np.random.Generator(np.random.Philox(stream))
-            return _lloyd_once(samples, centered, k, gen, tol, max_iter, None)
+            start = _kmeanspp_init(samples, k, np.random.Generator(np.random.Philox(stream)))
+            return _lloyd_once(samples, centered, start, tol, max_iter)
 
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -324,7 +325,7 @@ def lloyd(
             )
         if not np.isfinite(init_points).all():
             raise UsageError("initial points must be finite; found NaN or infinite entries")
-        points, report = _lloyd_once(samples, centered, k, None, tol, max_iter, init_points)
+        points, report = _lloyd_once(samples, centered, init_points, tol, max_iter)
     return PointSet(points), report
 
 

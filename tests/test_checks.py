@@ -482,6 +482,14 @@ class TestReferenceSuite:
         with pytest.raises(UsageError):
             reference_suite(checks=["nonexistent"])
 
+    @pytest.mark.parametrize("n, checks", [(1, ["conditional_linearity"]), (2, ["convex_hull"])])
+    def test_too_few_draws_rejected_before_any_draw(self, monkeypatch, n, checks):
+        import funquant.checks
+
+        monkeypatch.setattr(funquant.checks, "sample", lambda *args: pytest.fail("drew samples"))
+        with pytest.raises(UsageError, match=f"n must be >= 3 .*, got {n}"):
+            reference_suite(n=n, checks=checks)
+
     def test_report_export_omits_runtime(self):
         report = check_dimension_bound(*fixed_point(gaussian_model([2.0, 1.0]), 2, 500, seed=1, restarts=2))
         payload = report.to_dict()

@@ -187,6 +187,12 @@ class TestVerify:
         assert result.returncode == 1
         assert "[FAIL]" in result.stdout
 
+    def test_console_names_the_law_of_each_law_report(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"task": "verify", "checks": ["ratio_invariance"], "n": 3})
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+        assert [line.split()[3] for line in lines] == ["normal", "uniform(0,1)"]
+
     def test_full_check_list_on_reference_models_exits_zero(self, tmp_path):
         cfg = write_config(tmp_path, {"task": "verify", "n": 50_000, "seed": 0})
         out = tmp_path / "full"

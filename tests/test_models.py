@@ -62,6 +62,40 @@ class TestScaleMixture:
         law = ScaleMixture.two_point(1.0, 3.0, 0.25).projection_law(1.0)
         assert law.variance == pytest.approx(0.25 + 0.75 * 9.0)
 
+    @pytest.mark.parametrize(
+        "mixture, payload",
+        [
+            (ScaleMixture.gaussian(), {"kind": "gaussian"}),
+            (ScaleMixture.student_t(5), {"kind": "student_t", "nu": 5.0}),
+            (ScaleMixture.two_point(1, 3, 0.25), {"kind": "two_point", "z1": 1.0, "z2": 3.0, "p": 0.25}),
+        ],
+    )
+    def test_json_round_trip(self, mixture, payload):
+        assert mixture.to_dict() == payload
+        assert list(mixture.to_dict()) == list(payload)
+        assert ScaleMixture.from_dict(mixture.to_dict()) == mixture
+
+    @pytest.mark.parametrize(
+        "fields, fragment",
+        [
+            ({"kind": "student_t"}, "student_t mixture needs nu"),
+            ({"kind": "two_point", "z2": 1.0, "p": 0.5}, "two_point mixture needs z1"),
+            ({"kind": "two_point", "z1": 1.0, "p": 0.5}, "two_point mixture needs z2"),
+            ({"kind": "two_point", "z1": 1.0, "z2": 1.0}, "two_point mixture needs p"),
+            ({"kind": "cauchy"}, "unknown mixture kind 'cauchy'"),
+            ({"kind": ["gaussian"]}, "unknown mixture kind"),
+            ({"kind": {"name": "gaussian"}}, "unknown mixture kind"),
+        ],
+    )
+    def test_constructor_rejects_missing_fields_and_unknown_kinds(self, fields, fragment):
+        with pytest.raises(ConfigError, match=fragment):
+            ScaleMixture(**fields)
+
+    @pytest.mark.parametrize("kind", [["gaussian"], {"name": "gaussian"}, None, 1])
+    def test_from_dict_rejects_non_string_kinds(self, kind):
+        with pytest.raises(ConfigError, match="mixture.kind: unknown value"):
+            ScaleMixture.from_dict({"kind": kind})
+
     def test_degenerate_two_point_has_no_density(self):
         with pytest.raises(UsageError):
             ScaleMixture.two_point(0.0, 1.0, 0.5).projection_law(1.0)
