@@ -80,10 +80,7 @@ class VerificationReport:
 
 
 def _finish(name, params, residuals, tolerances, tol_class, flags) -> VerificationReport:
-    passed = all(
-        (v <= tolerances[key]) if not math.isnan(v) else False
-        for key, v in residuals.items()
-    )
+    passed = all(v <= tolerances[key] for key, v in residuals.items())  # False for NaN
     return VerificationReport(
         name=name,
         params=params,

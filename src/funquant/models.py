@@ -130,9 +130,11 @@ class ScaleMixture:
                 raise ConfigError(f"mixture.{key}: finite number required, got {payload[key]!r}")
         if not isinstance(kind, str) or kind not in _PARAMETERS:
             raise ConfigError(f"mixture.kind: unknown value {kind!r}")
-        for key in _PARAMETERS[kind]:
-            if key not in payload:
+        for key in sum(_PARAMETERS.values(), ()):
+            if key in _PARAMETERS[kind] and key not in payload:
                 raise ConfigError(f"mixture.{key}: required for {kind}")
+            if key in payload and key not in _PARAMETERS[kind]:
+                raise ConfigError(f"mixture.{key}: not a parameter of a {kind} mixture")
         return cls(kind=kind, **{key: float(payload[key]) for key in _PARAMETERS[kind]})
 
     def label(self) -> str:

@@ -23,8 +23,9 @@ values are too close to call, exact ties included; those rows are ranked
 again by the difference formula sum_i (x_i - c_i)^2, and every squared
 distance is that formula's on the chosen point.  So labels and distances
 are exactly the difference formula's, ties go to the lowest index, and runs
-are reproducible.  Memory is O(n k) plus one (k, rows) block of at most
-8 MiB plus one n x d centered copy, which ``lloyd`` makes once per solve.
+are reproducible.  Memory is O(n k), plus one workspace per ``jobs`` thread
+(a (k, rows) block of at most 8 MiB, a (rows, d) gather buffer, n labels and
+distances), plus the centered copy and (d, n) column copy ``lloyd`` shares.
 ``_domain_means`` computes every domain mean.  Indices are 0-based
 throughout.  ``scipy.linalg`` is imported inside the one-dimensional
 solver step, its only user, so ``lloyd`` and the sample-based helpers load
@@ -33,6 +34,7 @@ numpy only.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -103,7 +105,22 @@ def _repair(samples: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.einsum("nkd,nkd->nk", diff, diff).argmin(axis=1)
 
 
-def _nearest(samples: np.ndarray, points: np.ndarray, centered=None) -> tuple[np.ndarray, np.ndarray]:
+class _Workspace:
+    """One thread's ``_nearest`` buffers, for blocks of ``rows`` rows (``_BLOCK_BYTES`` read when made)."""
+
+    def __init__(self, n: int, k: int, d: int):
+        self.rows = max(1, min(n, _BLOCK_BYTES // (8 * max(k, d))))
+        # flat, so a short last block takes a contiguous (k, rows) prefix
+        self.expanded = np.empty(k * self.rows)
+        self.close = np.empty(k * self.rows, dtype=bool)
+        self.row_min, self.bound, self.label_sum = np.empty((3, self.rows))
+        self.counts = np.empty(self.rows, dtype=np.int32)
+        self.gather = np.empty((self.rows, d))
+        self.labels = np.empty(n, dtype=np.intp)
+        self.d2min = np.empty(n)
+
+
+def _nearest(samples: np.ndarray, points: np.ndarray, centered=None, work=None) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-point labels (ties to the lowest index) and squared distances.
 
     The labels and distances are exactly those of the difference formula
@@ -118,11 +135,14 @@ def _nearest(samples: np.ndarray, points: np.ndarray, centered=None) -> tuple[np
     Any other row, exact ties included, is ranked again by the difference
     formula.  The squared distance is the difference formula's, on the
     chosen point only.  ``centered`` is ``_centered(samples)`` when the
-    caller already has it.
+    caller already has it.  Blocks write into ``work`` (a new ``_Workspace``
+    when None), whose labels and distances are returned and overwritten by
+    its next call; memory is O(n k) plus one workspace per ``jobs`` thread.
     """
     x, shift, norms = _centered(samples) if centered is None else centered
     n, d = samples.shape
     k = points.shape[0]
+    work = _Workspace(n, k, d) if work is None else work
     c = points - shift
     c2 = np.einsum("kd,kd->k", c, c)
     cross = -2.0 * c
@@ -131,40 +151,46 @@ def _nearest(samples: np.ndarray, points: np.ndarray, centered=None) -> tuple[np
     # the floor covers the absolute rounding of gradual underflow
     floor = np.finfo(samples.dtype).tiny
     index = np.arange(k, dtype=float)[:, None]
-    rows = max(1, _BLOCK_BYTES // (8 * max(k, d)))
     repair_rows = max(1, _BLOCK_BYTES // (8 * points.size))
-    labels = np.empty(n, dtype=np.intp)
-    d2min = np.empty(n)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        expanded = cross @ x[start:stop].T
+    labels, d2min = work.labels, work.d2min
+    for start in range(0, n, work.rows):
+        stop = min(start + work.rows, n)
+        m = stop - start
+        expanded = np.matmul(cross, x[start:stop].T, out=work.expanded[:k * m].reshape(k, m))
         expanded += c2[:, None]
-        bound = slack * (norms[start:stop] + reach) ** 2 + floor
-        close = expanded <= expanded.min(axis=0) + bound
+        bound = np.add(norms[start:stop], reach, out=work.bound[:m])
+        np.square(bound, out=bound)
+        bound *= slack
+        bound += floor
+        row_min = expanded.min(axis=0, out=work.row_min[:m])
+        row_min += bound
+        close = np.less_equal(expanded, row_min, out=work.close[:k * m].reshape(k, m))
+        counts = close.sum(axis=0, dtype=np.int32, out=work.counts[:m])
         # where one point is close, the index-weighted sum is that point's index
-        labels[start:stop] = np.multiply(close, index, out=expanded).sum(axis=0)
-        near = start + np.flatnonzero(close.sum(axis=0, dtype=np.int32) != 1)
+        labels[start:stop] = np.multiply(close, index, out=expanded).sum(axis=0, out=work.label_sum[:m])
+        # close[0] is spent, so it holds the rows with no single close point
+        near = start + np.flatnonzero(np.not_equal(counts, 1, out=close[0]))
         for first in range(0, near.size, repair_rows):
             tied = near[first:first + repair_rows]
             labels[tied] = _repair(samples[tied], points)
-        diff = np.take(points, labels[start:stop], axis=0)
+        # labels are in range, and "clip" writes straight into ``out``
+        diff = points.take(labels[start:stop], axis=0, out=work.gather[:m], mode="clip")
         np.subtract(samples[start:stop], diff, out=diff)
-        d2min[start:stop] = np.einsum("nd,nd->n", diff, diff)
-        del expanded, close, diff  # so no two blocks are alive at once
+        np.einsum("nd,nd->n", diff, diff, out=d2min[start:stop])
     return labels, d2min
 
 
-def _domain_means(samples: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean of each domain's samples (zero rows for empty domains) and counts."""
+def _domain_means(columns: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of each domain's samples (zero rows for empty domains) and counts, from (d, n) columns."""
     counts = np.bincount(labels, minlength=k)
-    sums = np.zeros((k, samples.shape[1]))
-    for j, column in enumerate(samples.T):
+    sums = np.zeros((k, columns.shape[0]))
+    for j, column in enumerate(columns):
         sums[:, j] = np.bincount(labels, weights=column, minlength=k)
     return sums / np.maximum(counts, 1)[:, None], counts
 
 
-def _residual(samples: np.ndarray, labels: np.ndarray, points: np.ndarray) -> float:
-    means, counts = _domain_means(samples, labels, points.shape[0])
+def _residual(columns: np.ndarray, labels: np.ndarray, points: np.ndarray) -> float:
+    means, counts = _domain_means(columns, labels, points.shape[0])
     if not counts.all():
         return float("inf")
     return max(float(np.linalg.norm(m - p)) for m, p in zip(means, points))
@@ -199,7 +225,7 @@ def self_consistency_residual(samples: np.ndarray, w: PointSet) -> float:
     An empty domain is reported as ``inf`` rather than silently skipped.
     """
     samples = _check_samples(samples, w.d)
-    return _residual(samples, _nearest(samples, w.points)[0], w.points)
+    return _residual(samples.T, _nearest(samples, w.points)[0], w.points)
 
 
 def quantizer_variable(samples: np.ndarray, w: PointSet) -> np.ndarray:
@@ -220,51 +246,46 @@ def _check_samples(samples, d: int | None = None) -> np.ndarray:
 
 def _kmeanspp_init(samples: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = samples.shape[0]
-    chosen = np.zeros(n, dtype=bool)
-    first = int(rng.integers(n))
-    chosen[first] = True
-    centers = [samples[first]]
-    d2 = ((samples - centers[0]) ** 2).sum(axis=1)
+    chosen = [int(rng.integers(n))]
+    d2 = ((samples - samples[chosen[0]]) ** 2).sum(axis=1)
     for _ in range(1, k):
         total = d2.sum()
-        if total > 0.0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:
-            idx = int(np.flatnonzero(~chosen)[0])
-        chosen[idx] = True
-        centers.append(samples[idx])
+        # with every distance zero, the lowest row not yet chosen
+        idx = int(rng.choice(n, p=d2 / total)) if total > 0.0 else next(i for i in range(n) if i not in chosen)
+        chosen.append(idx)
         d2 = np.minimum(d2, ((samples - samples[idx]) ** 2).sum(axis=1))
-    return np.array(centers)
+    return samples[chosen]
 
 
-def _lloyd_once(samples, centered, points, tol, max_iter):
+def _lloyd_once(samples, centered, columns, points, tol, max_iter, work):
     # One run from the start ``points``, which it never writes to; the
     # assignment made after the last update gives the final mse and residual.
+    # One labels/d2min pair in ``work`` is enough: the domain means read the
+    # old labels before the next ``_nearest`` writes them.
     k = points.shape[0]
-    labels, d2min = _nearest(samples, points, centered)
+    labels, d2min = _nearest(samples, points, centered, work)
     mse_history, converged, iterations = [], False, 0
     while iterations < max_iter and not converged:
         iterations += 1
         mse_history.append(float(d2min.mean()))
-        means, counts = _domain_means(samples, labels, k)
+        means, counts = _domain_means(columns, labels, k)
         new_points = np.where(counts[:, None] > 0, means, points)
         for j in np.flatnonzero(counts == 0):
             # re-seed to the sample farthest from the current set; keeps k fixed
-            new_points[j] = samples[int(_nearest(samples, new_points, centered)[1].argmax())]
+            new_points[j] = samples[int(_nearest(samples, new_points, centered, work)[1].argmax())]
         converged = float(np.linalg.norm(new_points - points, axis=1).max()) < tol
         points = new_points
-        labels, d2min = _nearest(samples, points, centered)
+        labels, d2min = _nearest(samples, points, centered, work)
     final_mse = float(d2min.mean())
     mse_history.append(final_mse)
-    report = LloydReport(
+    return points, LloydReport(
         iterations=iterations,
         final_mse=final_mse,
-        self_consistency_residual=_residual(samples, labels, points),
+        self_consistency_residual=_residual(columns, labels, points),
         restarts_used=1,
         converged=converged,
         mse_history=tuple(mse_history),
     )
-    return points, report
 
 
 def lloyd(
@@ -294,29 +315,22 @@ def lloyd(
         raise InsufficientDataError(f"need at least k={k} samples, got {n}")
     if not tol > 0:
         raise UsageError(f"tol must be positive, got {tol}")
-    centered = _centered(samples)
+
+    def each(fn, items):
+        if jobs <= 1:
+            return [fn(item) for item in items]
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
 
     if isinstance(init, str):
         if init != "kmeans++":
             raise UsageError(f"unknown init {init!r}; expected 'kmeans++' or an array of points")
         if restarts < 1:
             raise UsageError(f"restarts must be >= 1, got {restarts}")
-        # [seed, 1] keeps restart streams disjoint from sampling streams
-        # derived from the same seed.
+        # [seed, 1] keeps restart streams disjoint from sampling streams of the same
+        # seed.  All starts are seeded before any solve makes its workspace.
         streams = np.random.SeedSequence([seed, 1]).spawn(restarts)
-
-        def run(stream):
-            start = _kmeanspp_init(samples, k, np.random.Generator(np.random.Philox(stream)))
-            return _lloyd_once(samples, centered, start, tol, max_iter)
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(run, streams))
-        else:
-            results = [run(ss) for ss in streams]
-        best = min(range(restarts), key=lambda r: (results[r][1].final_mse, r))
-        points, report = results[best]
-        report = replace(report, restarts_used=restarts)
+        starts = each(lambda s: _kmeanspp_init(samples, k, np.random.Generator(np.random.Philox(s))), streams)
     else:
         init_points = np.asarray(init, dtype=float)
         if init_points.shape != (k, samples.shape[1]):
@@ -325,8 +339,20 @@ def lloyd(
             )
         if not np.isfinite(init_points).all():
             raise UsageError("initial points must be finite; found NaN or infinite entries")
-        points, report = _lloyd_once(samples, centered, init_points, tol, max_iter)
-    return PointSet(points), report
+        starts = [init_points]
+    centered, columns = _centered(samples), np.ascontiguousarray(samples.T)
+    local = threading.local()
+
+    def solve(start):
+        # each thread makes one workspace and reuses it for every restart that runs on it
+        if not hasattr(local, "work"):
+            local.work = _Workspace(n, k, samples.shape[1])
+        return _lloyd_once(samples, centered, columns, start, tol, max_iter, local.work)
+
+    results = each(solve, starts)
+    best = min(range(len(starts)), key=lambda r: (results[r][1].final_mse, r))
+    points, report = results[best]
+    return PointSet(points), replace(report, restarts_used=len(starts))
 
 
 def _solver_step(law: UnivariateLaw, y: np.ndarray) -> np.ndarray:
@@ -384,12 +410,8 @@ def univariate_principal_points(law: UnivariateLaw, k: int) -> np.ndarray:
     tol = 1e-12 * max(scale, 1e-12)
 
     base = (np.arange(k) + 0.5) / k
-    eps = 1e-4
-    level_sets = []
-    for c in (1.0, 0.5, 0.25):
-        level_sets.append(0.5 + (base - 0.5) * c)
-    for shift in (0.1 / k, -0.1 / k):
-        level_sets.append(np.clip(base + shift, eps, 1.0 - eps))
+    level_sets = [0.5 + (base - 0.5) * c for c in (1.0, 0.5, 0.25)]
+    level_sets += [np.clip(base + shift, 1e-4, 1.0 - 1e-4) for shift in (0.1 / k, -0.1 / k)]
 
     best_points = None
     best_objective = np.inf

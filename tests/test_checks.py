@@ -562,3 +562,15 @@ def test_monte_carlo_residuals_shrink_with_n():
     assert linearity_median(8000) <= linearity_median(4000)
     assert span_median(8000) <= span_median(4000)
     assert identity_median(8000) <= identity_median(4000)
+
+
+@pytest.mark.parametrize(
+    "residual, passed",
+    [(0.5, True), (1.0, True), (1.5, False), (float("nan"), False), (float("inf"), False)],
+    ids=["below", "at", "above", "nan", "inf"],
+)
+def test_a_residual_passes_only_at_or_below_its_tolerance(residual, passed):
+    from funquant import checks
+
+    report = checks._finish("x", {}, {"r": residual, "zero": 0.0}, {"r": 1.0, "zero": 0.0}, checks.EXACT, ())
+    assert report.passed is passed

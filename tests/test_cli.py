@@ -326,6 +326,14 @@ class TestSchemaErrors:
         assert result.returncode == 2
         assert "model" in result.stderr
 
+    def test_mixture_field_of_another_kind_exits_2(self, tmp_path):
+        bad = dict(MODEL, mixture={"kind": "gaussian", "nu": 5, "z1": 3})
+        cfg = write_config(tmp_path, {"model": bad, "task": "simulate", "n": 5, "seed": 0})
+        result = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert result.returncode == 2
+        assert "mixture.nu: not a parameter of a gaussian mixture" in result.stderr
+        assert not (tmp_path / "o" / "samples.csv").exists()
+
     @pytest.mark.parametrize(
         "task, field, where",
         [

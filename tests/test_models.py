@@ -96,6 +96,19 @@ class TestScaleMixture:
         with pytest.raises(ConfigError, match="mixture.kind: unknown value"):
             ScaleMixture.from_dict({"kind": kind})
 
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"kind": "gaussian", "nu": 5, "z1": 3}, "nu"),
+            ({"kind": "gaussian", "p": 0.5}, "p"),
+            ({"kind": "student_t", "nu": 5.0, "z2": 1.0}, "z2"),
+            ({"kind": "two_point", "z1": 1.0, "z2": 3.0, "p": 0.5, "nu": 5.0}, "nu"),
+        ],
+    )
+    def test_from_dict_rejects_fields_of_another_kind(self, payload, key):
+        with pytest.raises(ConfigError, match=rf"mixture\.{key}: not a parameter of a {payload['kind']} mixture"):
+            ScaleMixture.from_dict(payload)
+
     def test_degenerate_two_point_has_no_density(self):
         with pytest.raises(UsageError):
             ScaleMixture.two_point(0.0, 1.0, 0.5).projection_law(1.0)
@@ -322,6 +335,8 @@ class TestModelSchema:
             ({"d": 2, "mu": [0, 0], "lambda": [1, 1], "mixture": {"kind": "student_t", "nu": "5"}}, "mixture.nu"),
             ({"d": 2, "mu": [0, 0], "lambda": [1, 1],
               "mixture": {"kind": "two_point", "z1": 1.0, "z2": float("inf"), "p": 0.5}}, "mixture.z2"),
+            ({"d": 2, "mu": [0, 0], "lambda": [1, 1], "mixture": {"kind": "gaussian", "nu": 5}},
+             "model: mixture.nu: not a parameter"),
         ],
     )
     def test_schema_violations(self, payload, fragment):

@@ -563,6 +563,84 @@ class TestNearestKernel:
         assert peak < 32 * 2**20
 
 
+def poison(work):
+    """Fill every buffer of a ``_Workspace`` with values no kernel result can take."""
+    for buf in vars(work).values():
+        if isinstance(buf, np.ndarray):
+            buf.fill(np.nan if buf.dtype.kind == "f" else True if buf.dtype == bool else -1)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("block_bytes", [quantize._BLOCK_BYTES, 16 * 5 * 8], ids=["default-block", "tiny-block"])
+    def test_poisoned_workspace_matches_a_fresh_call(self, block_bytes, monkeypatch):
+        monkeypatch.setattr(quantize, "_BLOCK_BYTES", block_bytes)  # tiny: 16 rows a block, the last has 9
+        rng = np.random.default_rng(40)
+        # lattice rows with exact ties take the repair path, found through the reused ``close`` row
+        lattice = np.array([(x, y, 0.0) for x in range(-3, 4) for y in range(-3, 4)])
+        draws = np.vstack([2.0 * rng.standard_normal((1000, 3)), lattice])
+        work = quantize._Workspace(len(draws), 5, 3)
+        seen = record_repairs(monkeypatch)
+        tie_points = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [1, 0, 0]], dtype=float)
+        for points in (rng.standard_normal((5, 3)), tie_points, 3.0 * rng.standard_normal((5, 3))):
+            expected = quantize._nearest(draws, points)
+            poison(work)
+            labels, d2min = quantize._nearest(draws, points, quantize._centered(draws), work)
+            assert labels is work.labels and d2min is work.d2min
+            np.testing.assert_array_equal(labels, expected[0])
+            np.testing.assert_array_equal(d2min, expected[1])
+        assert seen
+
+    @pytest.mark.parametrize("block_bytes", [quantize._BLOCK_BYTES, 1000], ids=["default-block", "tiny-block"])
+    @pytest.mark.parametrize("case", sorted(LLOYD_CASES))
+    def test_poisoning_before_every_kernel_call_changes_no_bit(self, case, block_bytes, monkeypatch):
+        monkeypatch.setattr(quantize, "_BLOCK_BYTES", block_bytes)
+        make, k, kwargs = LLOYD_CASES[case]
+        draws = make()
+        expected_points, expected_report = lloyd(draws, k, **kwargs)
+        nearest, calls = quantize._nearest, []
+
+        def poisoned(samples, points, centered=None, work=None):
+            assert work is not None  # every kernel call of a solve goes through its workspace
+            poison(work)
+            calls.append(work)
+            return nearest(samples, points, centered, work)
+
+        monkeypatch.setattr(quantize, "_nearest", poisoned)
+        points, report = lloyd(draws, k, **kwargs)
+        assert len(calls) > report.iterations
+        np.testing.assert_array_equal(points.points, expected_points.points)
+        assert report == expected_report
+
+    def test_one_workspace_per_worker_thread(self, monkeypatch):
+        made = []
+        workspace = quantize._Workspace
+
+        def counting(*args):
+            made.append(args)
+            return workspace(*args)
+
+        monkeypatch.setattr(quantize, "_Workspace", counting)
+        draws = sample(gaussian_model([4.0, 1.0, 0.25]), 2000, seed=41)
+        lloyd(draws, 3, restarts=10, seed=1, jobs=1)
+        assert made == [(2000, 3, 3)]
+        made.clear()
+        lloyd(draws, 3, restarts=10, seed=1, jobs=2)
+        assert 1 <= len(made) <= 2
+        made.clear()
+        lloyd(draws, 3, init=draws[:3], jobs=4)
+        assert len(made) == 1
+
+    @pytest.mark.parametrize("case", sorted(LLOYD_CASES))
+    def test_jobs_change_no_bit(self, case):
+        make, k, kwargs = LLOYD_CASES[case]
+        draws = make()
+        kwargs = {key: value for key, value in kwargs.items() if key != "jobs"}
+        (points, report), *others = [lloyd(draws, k, jobs=jobs, **kwargs) for jobs in (1, 2, 4)]
+        for other_points, other_report in others:
+            np.testing.assert_array_equal(other_points.points, points.points)
+            assert other_report == report
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize(
     "call",
