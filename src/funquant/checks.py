@@ -52,8 +52,8 @@ MONTE_CARLO = "monte-carlo"
 class VerificationReport:
     """Outcome of one check: residuals, tolerances, pass flag, runtime.
 
-    ``runtime`` is set by :func:`reference_suite` and covers the report's
-    fixture; a check called directly leaves it at 0.0.
+    ``runtime`` is set by :func:`reference_suite`, and the first report on a
+    fixture covers building it; a check called directly leaves it at 0.0.
     """
 
     name: str
@@ -423,58 +423,45 @@ def reference_models() -> list[EllipticalModel]:
             for lam in spectra for mixture in mixtures]
 
 
-_N_MID = 50_000  # draws per Lloyd fixture; the Monte Carlo checks take the suite's full n
+_N_MID = 50_000  # most draws of a shared Lloyd fixture; the Monte Carlo checks take the suite's full n
+# What suite rows judge, as (k, seed offset from the model's base seed, most draws): per model, one
+# k=3 and one k=2 Lloyd fixture shared by its checks on that k, eigen_span's own larger one, and
+# (k=0: no solve) the Monte Carlo checks' draws.  The offsets are part of the exported reports.
+_K3, _K2, _SPAN, _MC8, _MC9 = (3, 1, _N_MID), (2, 5, _N_MID), (2, 4, 100_000), (0, 8, math.inf), (0, 9, math.inf)
 
 
-def _labelled(report, model, seed):
-    """``report`` with the suite's labels: the ``model`` its draws came from and their ``seed``."""
-    return replace(report, params={**report.params, "model": model.label(), "seed": seed})
+def _on_fixture(model, fixture, base, n, jobs):
+    """Read-only draws of ``model`` for ``fixture`` at the model's ``base`` seed and, if k > 0, a k-point
+    Lloyd fixed point on them: the one place the suite draws and solves, with ``jobs`` threads for five restarts."""
+    k, offset, most = fixture
+    draws = sample(model, min(n, most), base + offset)
+    draws.setflags(write=False)  # every check on the fixture shares them
+    return draws, lloyd(draws, k, tol=1e-10, restarts=5, seed=base + offset, jobs=jobs)[0] if k else None
 
 
-def _on_fixture(check, model, k, n, seed, jobs, *args):
-    """``check`` run on ``n`` draws of ``model`` and a k-point Lloyd fixed point on them, both from
-    ``seed``: the one place the suite solves a fixture, with ``jobs`` threads for its five restarts."""
-    draws = sample(model, n, seed)
-    points, _ = lloyd(draws, k, tol=1e-10, restarts=5, seed=seed, jobs=jobs)
-    return _labelled(check(draws, points, *args), model, seed)
-
-
-def _eigen_span_row(model, n, seed, jobs):
-    """eigen_span with k=2, q=1; a model with no gap after its top value is
-    flagged, as the check would flag it, before any fixture is drawn."""
-    if _has_gap(model.lam):
-        return _on_fixture(check_eigen_span, model, 2, n, seed, jobs, model, 1)
-    p = {"model": model.label(), "n": n, "k": 2, "q_expected": 1, "seed": seed}
-    return _finish("eigen_span", p, {}, {}, MONTE_CARLO, ("degenerate-spectrum",))
-
-
-# The reference suite in report order.  Each model row names a check, gives
-# the rule for the reference models it runs on (None: every model), and runs it
-# as run(model, base seed, n, jobs), drawing its samples and building its
-# fixture first and labelling the report with its model and seed; the seed
-# offsets from the base are part of the exported reports.  The law rows run
-# once, after every model, on fixed one-dimensional laws.  Rows reach checks
-# and solvers through this module's global names when they run, so a wrapper
-# set on the module sees every call.
+# The reference suite in report order.  Each model row names a check, the rule for the reference
+# models it runs on (None: every model) and its fixture, and runs as run(model, base seed, draws,
+# points).  The row without a fixture flags eigen_span, as the check would, on a model with no gap
+# after its top value; it runs as run(model, base seed, n), before any draw.  The law rows run once,
+# after every model.  Rows reach checks and solvers through this module's global names when they
+# run, so a wrapper set on the module sees every call.
 _MODEL_ROWS = (
-    ("convex_hull", None, lambda m, s, n, jobs: _on_fixture(
-        check_convex_hull, m, 3, min(n, _N_MID), s + 1, jobs)),
-    ("dimension_bound", None, lambda m, s, n, jobs: _on_fixture(
-        check_dimension_bound, m, 3, min(n, _N_MID), s + 2, jobs)),
-    ("kernel_orthogonality", lambda m: np.any(m.lam == 0.0), lambda m, s, n, jobs: _on_fixture(
-        check_kernel_orthogonality, m, 2, min(n, _N_MID), s + 3, jobs, m)),
-    ("eigen_span", None, lambda m, s, n, jobs: _eigen_span_row(m, min(n, 100_000), s + 4, jobs)),
-    ("projection_self_consistency", lambda m: _has_gap(m.lam), lambda m, s, n, jobs: _on_fixture(
-        check_projection_self_consistency, m, 2, min(n, _N_MID), s + 5, jobs)),
-    ("unitary_equivariance", lambda m: _has_gap(m.lam), lambda m, s, n, jobs: _on_fixture(
-        check_unitary_equivariance, m, 2, min(n, _N_MID), s + 6, jobs,
-        np.linspace(0.5, -0.5, m.d), 2.0, random_orthogonal(m.d, s + 7))),
-    ("conditional_linearity", lambda m: m.lam[-1] > 0, lambda m, s, n, jobs: _labelled(
-        check_conditional_linearity(sample(m, n, s + 8), m, SubspaceSplit(u_basis=random_orthogonal(m.d, s + 8)[:1])),
-        m, s + 8)),
-    ("mse_identity", lambda m: _has_gap(m.lam) and m.lam[1] > 0, lambda m, s, n, jobs: _labelled(
-        check_mse_identity(sample(m, n, s + 9), m, [*np.eye(m.d)[:2], np.eye(m.d)[:2].sum(axis=0) / math.sqrt(2.0)]),
-        m, s + 9)),
+    ("convex_hull", None, _K3, lambda m, s, x, w: check_convex_hull(x, w)),
+    ("dimension_bound", None, _K3, lambda m, s, x, w: check_dimension_bound(x, w)),
+    ("kernel_orthogonality", lambda m: np.any(m.lam == 0.0), _K2,
+     lambda m, s, x, w: check_kernel_orthogonality(x, w, m)),
+    ("eigen_span", lambda m: _has_gap(m.lam), _SPAN, lambda m, s, x, w: check_eigen_span(x, w, m, 1)),
+    ("eigen_span", lambda m: not _has_gap(m.lam), None, lambda m, s, n: _finish("eigen_span", {
+        "model": m.label(), "n": min(n, _SPAN[2]), "k": 2, "q_expected": 1, "seed": s + _SPAN[1]},
+        {}, {}, MONTE_CARLO, ("degenerate-spectrum",))),
+    ("projection_self_consistency", lambda m: _has_gap(m.lam), _K2,
+     lambda m, s, x, w: check_projection_self_consistency(x, w)),
+    ("unitary_equivariance", lambda m: _has_gap(m.lam), _K2, lambda m, s, x, w: check_unitary_equivariance(
+        x, w, np.linspace(0.5, -0.5, m.d), 2.0, random_orthogonal(m.d, s + 7))),
+    ("conditional_linearity", lambda m: m.lam[-1] > 0, _MC8, lambda m, s, x, w: check_conditional_linearity(
+        x, m, SubspaceSplit(u_basis=random_orthogonal(m.d, s + 8)[:1]))),
+    ("mse_identity", lambda m: _has_gap(m.lam) and m.lam[1] > 0, _MC9, lambda m, s, x, w: check_mse_identity(
+        x, m, [*np.eye(m.d)[:2], np.eye(m.d)[:2].sum(axis=0) / math.sqrt(2.0)])),
 )
 _LAW_ROWS = (
     ("ratio_invariance", lambda: check_ratio_invariance(
@@ -492,14 +479,14 @@ SUITE_MIN_N = 3
 def reference_suite(seed: int = 0, n: int = 200_000, checks=None, jobs: int = 1) -> list[VerificationReport]:
     """Run the selected checks over the reference models.
 
-    ``checks`` is a list of names from :data:`ALL_CHECKS` (default: all),
-    and ``n`` is at least :data:`SUITE_MIN_N`.  The suite alone draws samples, from seeds derived from ``seed`` so that
-    runs are reproducible and independent of execution order; it labels
-    each report with its model and seed and sets its ``runtime`` (0.0 for a
-    check called directly), which covers its draws and fixture as well as
-    its check.  Every check that judges a Lloyd fixed point is handed one
-    fixture, drawn and solved in one place, and ``jobs`` threads run the
-    restarts of every such solve; only ``unitary_equivariance``'s refit
+    ``checks`` is a list of names from :data:`ALL_CHECKS` (default: all), and ``n`` is at least
+    :data:`SUITE_MIN_N`.  The suite alone draws samples, from seeds derived from ``seed`` so that runs
+    are reproducible and independent of execution order.  It labels each report with its model and
+    seed and sets its ``runtime`` (0.0 for a check called directly).  A model's checks on one k share
+    one Lloyd fixture (``eigen_span`` has its own), drawn and solved when a selected check first needs
+    it, so a subset run judges the same fixture as a full run, and dropped after the model's checks.
+    The first report on a fixture carries its build time, so the runtimes add up to the suite's time.
+    ``jobs`` threads run the restarts of every fixture solve; only ``unitary_equivariance``'s refit
     from given points is a single run.
     """
     selected = list(ALL_CHECKS) if checks is None else list(checks)
@@ -509,13 +496,24 @@ def reference_suite(seed: int = 0, n: int = 200_000, checks=None, jobs: int = 1)
     if n < SUITE_MIN_N:
         raise UsageError(f"n must be >= {SUITE_MIN_N} (the largest fixture k), got {n}")
 
-    runs = [(name, run, (model, seed + 1000 * idx, n, jobs))
-            for idx, model in enumerate(reference_models())
-            for name, applies, run in _MODEL_ROWS if applies is None or applies(model)]
     reports: list[VerificationReport] = []
-    for name, run, args in runs + [(name, run, ()) for name, run in _LAW_ROWS]:
+    for idx, model in enumerate(reference_models()):
+        base, fixtures = seed + 1000 * idx, {}
+        for name, applies, fixture, run in _MODEL_ROWS:
+            if name not in selected or not (applies is None or applies(model)):
+                continue
+            started = time.perf_counter()
+            if fixture is None:
+                report = run(model, base, n)
+            else:
+                drawn = fixtures.get(fixture) or _on_fixture(model, fixture, base, n, jobs)
+                if fixture[0]:  # a Lloyd fixture serves the model's other checks on its k; plain draws serve one
+                    fixtures[fixture] = drawn
+                report = run(model, base, *drawn)
+                report = replace(report, params={**report.params, "model": model.label(), "seed": base + fixture[1]})
+            reports.append(replace(report, runtime=time.perf_counter() - started))
+    for name, run in _LAW_ROWS:
         if name in selected:
             started = time.perf_counter()
-            report = run(*args)
-            reports.append(replace(report, runtime=time.perf_counter() - started))
+            reports.append(replace(run(), runtime=time.perf_counter() - started))
     return reports

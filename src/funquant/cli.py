@@ -84,7 +84,7 @@ def _read_json(path: str, what: str):
         raise ConfigError(f"{path}: cannot read {what} ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from exc
-    except ValueError as exc:  # e.g. an integer literal longer than Python's int-string limit
+    except (ValueError, RecursionError) as exc:  # e.g. an integer literal over the int-string limit, or deep nesting
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 

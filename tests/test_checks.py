@@ -334,39 +334,39 @@ class TestRecordedTolerances:
 
 SUITE_SEQUENCE_SEED3 = [
     ("convex_hull", "gaussian|lam=(4,1,0.25)", 4),
-    ("dimension_bound", "gaussian|lam=(4,1,0.25)", 5),
+    ("dimension_bound", "gaussian|lam=(4,1,0.25)", 4),
     ("eigen_span", "gaussian|lam=(4,1,0.25)", 7),
     ("projection_self_consistency", "gaussian|lam=(4,1,0.25)", 8),
-    ("unitary_equivariance", "gaussian|lam=(4,1,0.25)", 9),
+    ("unitary_equivariance", "gaussian|lam=(4,1,0.25)", 8),
     ("conditional_linearity", "gaussian|lam=(4,1,0.25)", 11),
     ("mse_identity", "gaussian|lam=(4,1,0.25)", 12),
     ("convex_hull", "t5|lam=(4,1,0.25)", 1004),
-    ("dimension_bound", "t5|lam=(4,1,0.25)", 1005),
+    ("dimension_bound", "t5|lam=(4,1,0.25)", 1004),
     ("eigen_span", "t5|lam=(4,1,0.25)", 1007),
     ("projection_self_consistency", "t5|lam=(4,1,0.25)", 1008),
-    ("unitary_equivariance", "t5|lam=(4,1,0.25)", 1009),
+    ("unitary_equivariance", "t5|lam=(4,1,0.25)", 1008),
     ("conditional_linearity", "t5|lam=(4,1,0.25)", 1011),
     ("mse_identity", "t5|lam=(4,1,0.25)", 1012),
     ("convex_hull", "gaussian|lam=(1,1,1)", 2004),
-    ("dimension_bound", "gaussian|lam=(1,1,1)", 2005),
+    ("dimension_bound", "gaussian|lam=(1,1,1)", 2004),
     ("eigen_span", "gaussian|lam=(1,1,1)", 2007),
     ("conditional_linearity", "gaussian|lam=(1,1,1)", 2011),
     ("convex_hull", "t5|lam=(1,1,1)", 3004),
-    ("dimension_bound", "t5|lam=(1,1,1)", 3005),
+    ("dimension_bound", "t5|lam=(1,1,1)", 3004),
     ("eigen_span", "t5|lam=(1,1,1)", 3007),
     ("conditional_linearity", "t5|lam=(1,1,1)", 3011),
     ("convex_hull", "gaussian|lam=(1,0)", 4004),
-    ("dimension_bound", "gaussian|lam=(1,0)", 4005),
-    ("kernel_orthogonality", "gaussian|lam=(1,0)", 4006),
+    ("dimension_bound", "gaussian|lam=(1,0)", 4004),
+    ("kernel_orthogonality", "gaussian|lam=(1,0)", 4008),
     ("eigen_span", "gaussian|lam=(1,0)", 4007),
     ("projection_self_consistency", "gaussian|lam=(1,0)", 4008),
-    ("unitary_equivariance", "gaussian|lam=(1,0)", 4009),
+    ("unitary_equivariance", "gaussian|lam=(1,0)", 4008),
     ("convex_hull", "t5|lam=(1,0)", 5004),
-    ("dimension_bound", "t5|lam=(1,0)", 5005),
-    ("kernel_orthogonality", "t5|lam=(1,0)", 5006),
+    ("dimension_bound", "t5|lam=(1,0)", 5004),
+    ("kernel_orthogonality", "t5|lam=(1,0)", 5008),
     ("eigen_span", "t5|lam=(1,0)", 5007),
     ("projection_self_consistency", "t5|lam=(1,0)", 5008),
-    ("unitary_equivariance", "t5|lam=(1,0)", 5009),
+    ("unitary_equivariance", "t5|lam=(1,0)", 5008),
     ("ratio_invariance", "normal", None),
     ("ratio_invariance", "uniform(0,1)", None),
 ]
@@ -379,14 +379,17 @@ def _solve(k, seed):
 _REFIT = (2000, 2, "given", 1e-8, 10, 0)  # unitary_equivariance's single run from given points
 
 # (n, k, init, tol, restarts, seed) of every lloyd call of reference_suite(seed=3, n=2000),
-# in call order; the isotropic (1,1,1) models get no eigen_span fixture
+# in call order: one k=3 fixture (offset 1) and one k=2 fixture (offset 5) per model, each
+# solved when a check first needs it, plus eigen_span's own (offset 4), which the isotropic
+# (1,1,1) models do not get; on the (1,0) models kernel_orthogonality needs the k=2 fixture
+# before eigen_span runs
 SUITE_SOLVES_SEED3 = [
-    _solve(3, 4), _solve(3, 5), _solve(2, 7), _solve(2, 8), _solve(2, 9), _REFIT,
-    _solve(3, 1004), _solve(3, 1005), _solve(2, 1007), _solve(2, 1008), _solve(2, 1009), _REFIT,
-    _solve(3, 2004), _solve(3, 2005),
-    _solve(3, 3004), _solve(3, 3005),
-    _solve(3, 4004), _solve(3, 4005), _solve(2, 4006), _solve(2, 4007), _solve(2, 4008), _solve(2, 4009), _REFIT,
-    _solve(3, 5004), _solve(3, 5005), _solve(2, 5006), _solve(2, 5007), _solve(2, 5008), _solve(2, 5009), _REFIT,
+    _solve(3, 4), _solve(2, 7), _solve(2, 8), _REFIT,
+    _solve(3, 1004), _solve(2, 1007), _solve(2, 1008), _REFIT,
+    _solve(3, 2004),
+    _solve(3, 3004),
+    _solve(3, 4004), _solve(2, 4008), _solve(2, 4007), _REFIT,
+    _solve(3, 5004), _solve(2, 5008), _solve(2, 5007), _REFIT,
 ]
 
 
@@ -397,12 +400,12 @@ def _draws(label, seeds):
 # (model label, n, seed) of every sample call of reference_suite(seed=3, n=2000), in
 # call order: the fixtures' draws and the Monte Carlo checks' draws at offsets 8 and 9
 SUITE_DRAWS_SEED3 = [
-    *_draws("gaussian|lam=(4,1,0.25)", [4, 5, 7, 8, 9, 11, 12]),
-    *_draws("t5|lam=(4,1,0.25)", [1004, 1005, 1007, 1008, 1009, 1011, 1012]),
-    *_draws("gaussian|lam=(1,1,1)", [2004, 2005, 2011]),
-    *_draws("t5|lam=(1,1,1)", [3004, 3005, 3011]),
-    *_draws("gaussian|lam=(1,0)", [4004, 4005, 4006, 4007, 4008, 4009]),
-    *_draws("t5|lam=(1,0)", [5004, 5005, 5006, 5007, 5008, 5009]),
+    *_draws("gaussian|lam=(4,1,0.25)", [4, 7, 8, 11, 12]),
+    *_draws("t5|lam=(4,1,0.25)", [1004, 1007, 1008, 1011, 1012]),
+    *_draws("gaussian|lam=(1,1,1)", [2004, 2011]),
+    *_draws("t5|lam=(1,1,1)", [3004, 3011]),
+    *_draws("gaussian|lam=(1,0)", [4004, 4008, 4007]),
+    *_draws("t5|lam=(1,0)", [5004, 5008, 5007]),
 ]
 
 
@@ -445,8 +448,22 @@ class TestReferenceSuite:
         reports = reference_suite(seed=3, n=2000, checks=subset)
         assert suite_keys(reports) == [key for key in SUITE_SEQUENCE_SEED3 if key[0] in subset]
 
+    def test_checks_on_one_k_share_their_models_fixture(self, small_suite):
+        reports, _ = small_suite
+        fixtures = {}
+        for r in reports:
+            if "model" in r.params and "k" in r.params and r.name != "eigen_span":  # eigen_span has its own
+                fixtures.setdefault((r.params["model"], r.params["k"]), set()).add((r.params["seed"], r.params["n"]))
+        assert len(fixtures) == 10  # k=3 on all six models, k=2 on the four with a gap
+        assert all(len(drawn) == 1 for drawn in fixtures.values()), fixtures
+        # a subset run judges the same fixture as a full run
+        for name in ["convex_hull", "dimension_bound", "kernel_orthogonality", "eigen_span",
+                     "projection_self_consistency", "unitary_equivariance"]:
+            alone = reference_suite(seed=3, n=2000, checks=[name])
+            assert [r.to_dict() for r in alone] == [r.to_dict() for r in reports if r.name == name], name
+
     def test_report_runtimes_cover_the_suite_wall_time(self, small_suite):
-        # each report's runtime includes the Lloyd fixture its check runs on
+        # each fixture's build time is in the runtime of the first report on it
         reports, wall = small_suite
         assert sum(r.runtime for r in reports) >= 0.95 * wall
 

@@ -275,6 +275,7 @@ class TestReport:
             pytest.param('[{"residuals": {"r": 1.0}, "tolerances": {"r": "1e-3"}}]', 0, id="string-tolerance"),
             pytest.param('[{"residuals": {"r": 1.0}, "tolerances": {"r": false}}]', 0, id="bool-tolerance"),
             pytest.param('[{"name": "a"}, {}, {"name": 7}]', 2, id="name-not-string"),
+            pytest.param("[" * 100_000 + "]" * 100_000, None, id="nested-past-recursion-limit"),
         ],
     )
     def test_malformed_input_exits_2_naming_path_and_record(self, tmp_path, capsys, content, record):
@@ -399,6 +400,14 @@ class TestSchemaErrors:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert f"error: {cfg}: cannot read config" in result.stderr
+
+    def test_config_nested_past_the_recursion_limit_exits_2(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        result = run_cli("verify", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert f"error: {cfg}: invalid JSON" in result.stderr
 
     @pytest.mark.parametrize("task", ["simulate", "kmeans"])
     def test_unallocatable_n_exits_2_without_traceback(self, tmp_path, task):
