@@ -15,9 +15,9 @@ Checks whose preconditions cannot be decided from data (for example span
 comparisons under a nearly degenerate spectrum) come back flagged rather
 than failed.  Every check judges only the draws and model it is handed:
 :func:`reference_suite` alone draws and seeds samples, labels each report
-with its model and seed, and times it.  ``scipy.optimize`` is imported
-inside ``simplex_fit``, its only user, so importing this module loads no
-part of scipy.
+with its model and seed, and times it.  Importing this module loads no
+part of scipy; the checks reach ``scipy.special`` only through the laws'
+methods (see ``funquant.laws``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .laws import NormalMixtureLaw, UniformLaw, UnivariateLaw
 from .models import EllipticalModel, ScaleMixture, conditional_slope, sample
 from .quantize import (
     PointSet,
-    assign,
     empirical_mse,
     g_constant,
     lloyd,
@@ -92,35 +91,65 @@ def _finish(name, params, residuals, tolerances, tol_class, flags) -> Verificati
     )
 
 
-def simplex_fit(points: np.ndarray, target: np.ndarray, x0=None) -> tuple[np.ndarray, float]:
-    """Least-squares combination of rows of ``points`` matching ``target``,
-    with weights constrained to the probability simplex."""
-    from scipy.optimize import minimize
+def _corral(shifted: np.ndarray, support: np.ndarray, weights: np.ndarray):
+    """Wolfe's minor cycles: the support and weights of the nearest point to
+    the origin of the hull of ``shifted[support]``, starting from ``weights``.
 
+    Each cycle takes the nearest point of the support's affine hull, by least
+    squares on the differences from the first support point.  If a weight of
+    that point is not positive, the weights move toward it until the first
+    one reaches 0, and that point leaves the support.
+    """
+    while True:
+        corral = shifted[support]
+        coef = np.linalg.lstsq((corral[1:] - corral[0]).T, -corral[0], rcond=None)[0]
+        affine = np.concatenate(([1.0 - coef.sum()], coef))
+        if np.all(affine > 0):
+            return support, affine
+        out = np.flatnonzero(affine <= 0)
+        step = weights[out] - affine[out]
+        ratios = np.divide(weights[out], step, out=np.zeros(out.size), where=step > 0)
+        theta = float(ratios.min())
+        weights = (1.0 - theta) * weights + theta * affine
+        weights[out[np.argmin(ratios)]] = 0.0
+        support, weights = support[weights > 0], weights[weights > 0]
+
+
+def simplex_fit(points: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares combination of rows of ``points`` matching ``target``,
+    with weights constrained to the probability simplex.
+
+    Wolfe's (1976) exact active-set method for the point x of
+    conv{y_j - target} nearest the origin.  Each major cycle adds the point
+    furthest behind x to the support and solves the minor cycles
+    (:func:`_corral`).  It stops when no point lies behind x by more than
+    1e-13 |x| max_j |y_j - target|, which bounds the distance's excess over
+    the optimum by 1e-13 max_j |y_j - target|, or when rounding keeps a
+    cycle from bringing x closer.  Returns the weights and the distance
+    |sum_j alpha_j y_j - target|.
+    """
     points = np.asarray(points, dtype=float)
     target = np.asarray(target, dtype=float)
-    k = points.shape[0]
-    if x0 is None:
-        x0 = np.full(k, 1.0 / k)
-
-    def objective(alpha):
-        r = points.T @ alpha - target
-        return float(r @ r)
-
-    def gradient(alpha):
-        return 2.0 * points @ (points.T @ alpha - target)
-
-    res = minimize(
-        objective,
-        x0,
-        jac=gradient,
-        method="SLSQP",
-        bounds=[(0.0, 1.0)] * k,
-        constraints=[{"type": "eq", "fun": lambda a: a.sum() - 1.0, "jac": lambda a: np.ones(k)}],
-        options={"maxiter": 200, "ftol": 1e-18},
-    )
-    alpha = np.clip(res.x, 0.0, None)
-    alpha = alpha / alpha.sum()
+    shifted = points - target
+    sq_norms = (shifted * shifted).sum(axis=1)
+    scale = math.sqrt(float(sq_norms.max()))
+    support, weights = np.array([np.argmin(sq_norms)]), np.ones(1)
+    x = shifted[support[0]]
+    # every major cycle brings x strictly closer, so no support repeats; the cap
+    # only bounds the count
+    for _ in range(10 * len(points)):
+        gaps = x @ x - shifted @ x
+        j = int(np.argmax(gaps))
+        if j in support or gaps[j] <= 1e-13 * math.sqrt(float(x @ x)) * scale:
+            break
+        trial_support, trial_weights = _corral(shifted, np.append(support, j), np.append(weights, 0.0))
+        trial = trial_weights @ shifted[trial_support]
+        if not trial @ trial < x @ x:
+            break
+        support, weights, x = trial_support, trial_weights, trial
+    alpha = np.zeros(len(points))
+    alpha[support] = weights
+    alpha /= alpha.sum()
     return alpha, float(np.linalg.norm(points.T @ alpha - target))
 
 
@@ -128,8 +157,7 @@ def check_convex_hull(samples: np.ndarray, w: PointSet) -> VerificationReport:
     """The sample mean is a convex combination of a fixed point's points."""
     samples = np.asarray(samples, dtype=float)
     mean = samples.mean(axis=0)
-    counts = assign(samples, w).counts
-    _, residual = simplex_fit(w.points, mean, x0=counts / counts.sum())
+    _, residual = simplex_fit(w.points, mean)
     trace = float(((samples - mean) ** 2).sum(axis=1).mean())
     tol = 1e-3 * math.sqrt(trace)
     p = {"n": samples.shape[0], "k": w.k}

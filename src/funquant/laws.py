@@ -15,7 +15,9 @@ from the complementary CDF, so a far upper cell does not round to
 models in this package are always of one of these forms: a finite mixture
 of centered normals (gaussian / two-point scale mixtures) or a scaled
 Student t.  ``scipy.special`` is imported inside the methods that call
-it, so importing this module loads numpy only.
+it, so importing this module loads numpy only; it is the one part of scipy
+the laws use.  The mixture quantile finds its root with ``_brentq``, a port
+of scipy's ``brentq``.
 """
 
 from __future__ import annotations
@@ -53,6 +55,53 @@ def _cell_mass(cdf, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     """
     flip = np.where(xa > 0, -1.0, 1.0)
     return flip * (cdf(flip * xb) - cdf(flip * xa))
+
+
+def _brentq(f, xpre: float, xcur: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """A root of f between xpre and xcur by Brent's method (Brent 1973, ch. 4).
+
+    A port of scipy's ``brentq`` (its C ``Zeros/brentq.c``) that makes the
+    same steps in the same order, so it returns the same float.  It stops
+    once the bracket is narrower than xtol + rtol |x|.  f must change sign
+    on the bracket (ValueError otherwise); RuntimeError if maxiter steps do
+    not reach the tolerance.
+    """
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} steps")
 
 
 def _moments(m0, m1, m2):
@@ -170,13 +219,12 @@ class NormalMixtureLaw(UnivariateLaw):
 
         if not 0.0 < p < 1.0:
             raise UsageError(f"quantile level must be in (0, 1), got {p}")
+        p = float(p)
         qs = [self.loc + s * float(special.ndtri(p)) for s in self.scales]
         lo, hi = min(qs), max(qs)
         if hi - lo < 1e-300:
             return lo
-        from scipy.optimize import brentq
-
-        return float(brentq(lambda y: self.cdf(y) - p, lo, hi, xtol=1e-13, rtol=1e-14))
+        return _brentq(lambda y: self.cdf(y) - p, lo, hi, xtol=1e-13, rtol=1e-14)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         idx = rng.choice(len(self.weights), size=n, p=np.asarray(self.weights))

@@ -8,11 +8,11 @@ both for the closed-form two-point solution along the leading
 eigendirection and for the scale-free quantization constant ``g``.  It makes
 Newton steps on the expected squared distance: one array ``cell_moments``
 call gives every cell's mass and moments, and the Hessian is tridiagonal,
-so each step is one banded Cholesky solve and the iteration converges
-quadratically.  Where the Hessian is not positive definite, or a step would
-break the points' order, it falls back to one Lloyd-Max step (each point to
-its cell mean).  Cell masses are tail-exact (see ``funquant.laws``), so far
-tail cells keep their conditional means.
+so each step is one L D L^T solve (``_solve_tridiagonal``) and the
+iteration converges quadratically.  Where the Hessian is not positive
+definite, or a step would break the points' order, it falls back to one
+Lloyd-Max step (each point to its cell mean).  Cell masses are tail-exact
+(see ``funquant.laws``), so far tail cells keep their conditional means.
 
 One blocked kernel, ``_nearest``, assigns every sample to its nearest point.
 It ranks the points by the expansion |c|^2 - 2 x.c, taking the cross terms
@@ -27,9 +27,9 @@ are reproducible.  Memory is O(n k), plus one workspace per ``jobs`` thread
 (a (k, rows) block of at most 8 MiB, a (rows, d) gather buffer, n labels and
 distances), plus the centered copy and (d, n) column copy ``lloyd`` shares.
 ``_domain_means`` computes every domain mean.  Indices are 0-based
-throughout.  ``scipy.linalg`` is imported inside the one-dimensional
-solver step, its only user, so ``lloyd`` and the sample-based helpers load
-numpy only.
+throughout.  The module itself loads numpy only: the one-dimensional
+solver reaches scipy only through the law's own methods (see
+``funquant.laws``).
 """
 
 from __future__ import annotations
@@ -355,6 +355,32 @@ def lloyd(
     return PointSet(points), replace(report, restarts_used=len(starts))
 
 
+def _solve_tridiagonal(diagonal: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs for the symmetric tridiagonal A with this diagonal and off-diagonal (n >= 2).
+
+    A port of LAPACK ``dptsv``, which ``scipy.linalg.solveh_banded`` runs
+    for one off-diagonal: the L D L^T factorisation (``dpttrf``), then the
+    two substitutions (``dptts2``), each in the reference order, so the
+    solution is the same to the bit.  Raises ``np.linalg.LinAlgError`` at
+    the first pivot that is not positive.
+    """
+    d, e, x = diagonal.tolist(), off.tolist(), rhs.tolist()
+    n = len(d)
+    for i in range(n):
+        if d[i] <= 0.0:
+            raise np.linalg.LinAlgError(f"leading minor {i + 1} is not positive definite")
+        if i < n - 1:
+            ei = e[i]
+            e[i] = ei / d[i]
+            d[i + 1] -= e[i] * ei
+    for i in range(1, n):
+        x[i] -= x[i - 1] * e[i - 1]
+    x[n - 1] /= d[n - 1]
+    for i in range(n - 2, -1, -1):
+        x[i] = x[i] / d[i] - x[i + 1] * e[i]
+    return np.array(x)
+
+
 def _solver_step(law: UnivariateLaw, y: np.ndarray) -> np.ndarray:
     """One Newton step on the distortion of the sorted points y.
 
@@ -365,21 +391,17 @@ def _solver_step(law: UnivariateLaw, y: np.ndarray) -> np.ndarray:
     definite, or the step would break the points' order, the step is one
     Lloyd-Max update instead: each point moves to its cell's mean.
     """
-    from scipy import linalg
-
     mid = (y[1:] + y[:-1]) / 2.0
     m0, m1, _ = law.cell_moments(np.concatenate(([-np.inf], mid)), np.concatenate((mid, [np.inf])))
     coupling = -law.pdf(mid) * np.diff(y) / 4.0
-    bands = np.zeros((2, y.size))
-    bands[0, 1:] = coupling
-    bands[1] = m0
-    bands[1, 1:] += coupling
-    bands[1, :-1] += coupling
+    diagonal = m0.copy()
+    diagonal[1:] += coupling
+    diagonal[:-1] += coupling
     try:
-        new = y + linalg.solveh_banded(bands, m1 - y * m0)
+        new = y + _solve_tridiagonal(diagonal, coupling, m1 - y * m0)
         if np.all(np.diff(new) > 0):
             return new
-    except linalg.LinAlgError:
+    except np.linalg.LinAlgError:
         pass
     return np.divide(m1, m0, out=y.copy(), where=m0 > 1e-300)
 

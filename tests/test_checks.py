@@ -29,6 +29,8 @@ from funquant import (
     univariate_principal_points,
 )
 
+import oracles
+
 
 def gaussian_model(lam, mu=None):
     lam = np.asarray(lam, dtype=float)
@@ -58,6 +60,50 @@ class TestConvexHull:
         alpha, residual = simplex_fit(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(2))
         np.testing.assert_allclose(alpha, [0.5, 0.5], atol=1e-8)
         assert residual < 1e-10
+
+    @pytest.mark.parametrize(
+        "points, target, distance",
+        [
+            ([[0.0, 0.0], [2.0, 0.0]], [3.0, 4.0], np.sqrt(17.0)),  # beyond an end of a segment
+            ([[0.0, 0.0], [2.0, 0.0]], [1.0, 4.0], 4.0),  # beside a segment
+            ([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [-1.0, 5.0, 2.0]], [-1.0, 5.0, 2.0], 0.0),  # at a vertex
+            ([[1.0, 1.0], [1.0, 1.0], [3.0, 1.0], [3.0, 1.0]], [2.0, 1.0], 0.0),  # duplicate points
+            ([[1.0, 1.0], [1.0, 1.0], [3.0, 1.0], [3.0, 1.0]], [2.0, 3.0], 2.0),
+            ([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [3.0, 3.0, 3.0], [-1.0, -1.0, -1.0]], [0.5, 0.5, 0.5], 0.0),
+            ([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [3.0, 3.0, 3.0]], [0.0, 0.0, 1.0], np.sqrt(2.0)),  # collinear
+            ([[1.0, 1.0, 1.0]], [0.0, 0.0, 1.0], np.sqrt(2.0)),
+        ],
+        ids=["segment-end", "segment-side", "vertex", "duplicates-inside", "duplicates-outside",
+             "collinear-inside", "collinear-outside", "one-point"],
+    )
+    def test_simplex_fit_exact_cases(self, points, target, distance):
+        from funquant.checks import simplex_fit
+
+        points, target = np.array(points), np.array(target)
+        alpha, residual = simplex_fit(points, target)
+        assert np.all(alpha >= 0) and alpha.sum() == pytest.approx(1.0, abs=1e-15)
+        assert residual == pytest.approx(distance, abs=1e-14)
+        assert np.linalg.norm(points.T @ alpha - target) == residual
+
+    def test_simplex_fit_is_no_further_than_slsqp(self):
+        from funquant.checks import simplex_fit
+
+        rng = np.random.default_rng(5)
+        for case in range(400):
+            k, d = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+            points = rng.normal(size=(k, d)) * rng.uniform(0.01, 100.0)
+            if case % 4 == 0:  # a target inside the hull
+                target = rng.dirichlet(np.ones(k)) @ points
+            elif case % 4 == 1:  # repeated points
+                points[rng.integers(k)] = points[0]
+                target = rng.normal(size=d)
+            else:
+                target = rng.normal(size=d) * rng.uniform(0.01, 100.0)
+            alpha, residual = simplex_fit(points, target)
+            _, reference = oracles.reference_simplex_fit(points, target)
+            scale = np.linalg.norm(points - target, axis=1).max()
+            assert np.all(alpha >= 0) and alpha.sum() == pytest.approx(1.0, abs=1e-14)
+            assert residual <= reference + 1e-12 * scale
 
     def test_gaussian_k3(self):
         draws, points = fixed_point(gaussian_model([4.0, 1.0]), 3, 50_000, seed=2)

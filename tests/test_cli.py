@@ -547,6 +547,37 @@ def test_scipy_free_tasks_do_not_import_scipy(tmp_path):
     assert "scipy.special" in lines[-1][2:]
 
 
+_SCIPY_SUBPACKAGE_PROBE = """
+import sys
+
+from funquant import ScaleMixture, cli, univariate_principal_points
+
+for task in ("verify", "closed-form"):
+    assert cli.main([task, "--config", f"{sys.argv[1]}/{task}.json", "--out", f"{sys.argv[1]}/out_{task}"]) == 0
+law = ScaleMixture.two_point(1.0, 3.0, 0.3).standardized_law()
+for k in (2, 5):
+    univariate_principal_points(law, k)
+print("probe", *sorted(m for m in sys.modules if m.startswith("scipy.")))
+"""
+
+
+def test_checks_and_one_dimensional_solves_load_only_scipy_special(tmp_path):
+    # convex_hull fits a simplex, closed-form on a two-point mixture inverts the mixture CDF,
+    # and every 1-d solve makes tridiagonal Newton steps: none of them may load scipy.optimize
+    # or scipy.linalg
+    two_point = dict(MODEL, mixture={"kind": "two_point", "z1": 1.0, "z2": 3.0, "p": 0.3})
+    write_config(tmp_path, {"checks": ["convex_hull", "ratio_invariance"], "n": 2000, "seed": 0}, "verify.json")
+    write_config(tmp_path, {"model": two_point, "seed": 0}, "closed-form.json")
+    result = subprocess.run(
+        [sys.executable, "-c", _SCIPY_SUBPACKAGE_PROBE, str(tmp_path)],
+        capture_output=True, text=True, cwd=Path(__file__).parent.parent,
+    )
+    assert result.returncode == 0, result.stderr
+    (line,) = [line.split()[1:] for line in result.stdout.splitlines() if line.startswith("probe")]
+    assert [m for m in line if m.startswith(("scipy.optimize", "scipy.linalg"))] == []
+    assert "scipy.special" in line
+
+
 def test_singularity_maps_to_exit_3(tmp_path, monkeypatch):
     import funquant.cli as cli_module
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy import special
 from scipy.integrate import quad, trapezoid
+from scipy.optimize import brentq
 
-from funquant import ConfigError, NormalMixtureLaw, StudentTLaw, UniformLaw, UsageError, normal_law
+from funquant import ConfigError, NormalMixtureLaw, ScaleMixture, StudentTLaw, UniformLaw, UsageError, normal_law
+from funquant.laws import _brentq
 
 from oracles import quantization_objective
 
@@ -100,6 +102,28 @@ def test_quantile_inverts_cdf(name):
     law = LAWS[name]
     for p in (0.01, 0.25, 0.5, 0.9, 0.999):
         assert law.cdf(law.quantile(p)) == pytest.approx(p, abs=1e-9)
+
+
+@pytest.mark.parametrize("z2", np.linspace(1.05, 5.0, 6))
+def test_mixture_quantile_is_scipys_brent_root_to_the_bit(z2):
+    levels = [1e-10, 1e-6, 1e-3, 0.02, 0.25, 0.5, 0.75, 0.98, 1 - 1e-3, 1 - 1e-6, 1 - 1e-10]
+    for p in np.linspace(0.05, 0.95, 7):
+        law = ScaleMixture.two_point(1.0, float(z2), float(p)).standardized_law()
+        for level in levels:
+            lo, hi = sorted(s * float(special.ndtri(level)) for s in law.scales)
+            f = lambda y: law.cdf(y) - level
+            expected = brentq(f, lo, hi, xtol=1e-13, rtol=1e-14)
+            assert _brentq(f, lo, hi, xtol=1e-13, rtol=1e-14) == expected
+            assert law.quantile(level) == expected
+
+
+def test_brent_port_fails_where_scipys_brent_fails():
+    step = lambda y: 1.0 if y > 0.3 else -1.0  # no interpolation helps: bisection to the tolerance
+    for solver in (brentq, _brentq):
+        with pytest.raises(ValueError):
+            solver(lambda y: y * y + 1.0, -1.0, 2.0, xtol=1e-13, rtol=1e-14)
+        with pytest.raises(RuntimeError):
+            solver(step, 0.0, 1.0, xtol=1e-13, rtol=1e-14, maxiter=5)
 
 
 @pytest.mark.parametrize("name", LAWS)

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-import scipy.linalg
+from scipy.linalg import LinAlgError, solveh_banded
 
 from funquant import (
     DegenerateDirectionError,
@@ -261,6 +261,29 @@ class TestUnivariateSolver:
         assert np.all(np.diff(points) > 0)
         assert np.abs(points - m1 / m0).max() <= 1e-10 * np.sqrt(law.variance)
 
+    def test_tridiagonal_solve_is_scipys_to_the_bit(self):
+        rng = np.random.default_rng(14)
+        solved = 0
+        for _ in range(3000):
+            n = int(rng.integers(2, 25))
+            off = rng.normal(size=n - 1) * rng.uniform(0.1, 2.0)
+            # half the diagonals dominate (positive definite), half are drawn small (mostly not)
+            spare = rng.uniform(0.0, 3.0, size=n)
+            if rng.random() < 0.5:
+                spare += np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off))
+            rhs = rng.normal(size=n)
+            bands = np.zeros((2, n))
+            bands[0, 1:], bands[1] = off, spare
+            try:
+                expected = solveh_banded(bands, rhs)
+            except LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError):
+                    quantize._solve_tridiagonal(spare, off, rhs)
+                continue
+            assert quantize._solve_tridiagonal(spare, off, rhs).tobytes() == expected.tobytes()
+            solved += 1
+        assert 1000 < solved < 3000
+
     @pytest.mark.parametrize("failure", ["not-positive-definite", "disordered"])
     @pytest.mark.parametrize(
         "law, k", [(normal_law(), 5), (StudentTLaw(nu=5.0), 3)], ids=["normal-k5", "t5-k3"]
@@ -269,14 +292,13 @@ class TestUnivariateSolver:
         newton = univariate_principal_points(law, k)
         calls = []
 
-        def broken_solve(bands, rhs):
+        def broken_solve(diagonal, off, rhs):
             calls.append(rhs.size)
             if failure == "not-positive-definite":
                 raise np.linalg.LinAlgError("not positive definite")
             return -10.0 * np.arange(rhs.size)  # a step that reverses the points' order
 
-        # the solver step imports scipy.linalg when it runs, so it picks up the patched function
-        monkeypatch.setattr(scipy.linalg, "solveh_banded", broken_solve)
+        monkeypatch.setattr(quantize, "_solve_tridiagonal", broken_solve)
         lloyd_max = univariate_principal_points(law, k)
         assert calls
         np.testing.assert_allclose(lloyd_max, newton, rtol=0.0, atol=1e-10 * np.sqrt(law.variance))
