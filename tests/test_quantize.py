@@ -268,19 +268,19 @@ class TestUnivariateSolver:
             n = int(rng.integers(2, 25))
             off = rng.normal(size=n - 1) * rng.uniform(0.1, 2.0)
             # half the diagonals dominate (positive definite), half are drawn small (mostly not)
-            spare = rng.uniform(0.0, 3.0, size=n)
+            diagonal = rng.uniform(0.0, 3.0, size=n)
             if rng.random() < 0.5:
-                spare += np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off))
+                diagonal += np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off))
             rhs = rng.normal(size=n)
             bands = np.zeros((2, n))
-            bands[0, 1:], bands[1] = off, spare
+            bands[0, 1:], bands[1] = off, diagonal
             try:
                 expected = solveh_banded(bands, rhs)
             except LinAlgError:
                 with pytest.raises(np.linalg.LinAlgError):
-                    quantize._solve_tridiagonal(spare, off, rhs)
+                    quantize._solve_tridiagonal(diagonal, off, rhs)
                 continue
-            assert quantize._solve_tridiagonal(spare, off, rhs).tobytes() == expected.tobytes()
+            assert quantize._solve_tridiagonal(diagonal, off, rhs).tobytes() == expected.tobytes()
             solved += 1
         assert 1000 < solved < 3000
 
