@@ -5,31 +5,28 @@ sample matrices, with k-means++ style seeding, multiple restarts and
 farthest-point re-seeding of empty domains.  ``univariate_principal_points``
 is the one-dimensional solver driven by exact cell moments of a law, used
 both for the closed-form two-point solution along the leading
-eigendirection and for the scale-free quantization constant ``g``.  It makes
-Newton steps on the expected squared distance: one array ``cell_moments``
-call gives every cell's mass and moments, and the Hessian is tridiagonal,
-so each step is one L D L^T solve (``_solve_tridiagonal``) and the
-iteration converges quadratically.  Where the Hessian is not positive
-definite, or a step would break the points' order, it falls back to one
-Lloyd-Max step (each point to its cell mean).  Cell masses are tail-exact
-(see ``funquant.laws``), so far tail cells keep their conditional means.
+eigendirection and for the scale-free quantization constant ``g``.  Its
+Newton steps each take one array ``cell_moments`` call, with tail-exact
+masses (see ``funquant.laws``), and one L D L^T solve of the tridiagonal
+Hessian (``_solve_tridiagonal``).
 
 One blocked kernel, ``_nearest``, assigns every sample to its nearest point.
 It ranks the points by the expansion |c|^2 - 2 x.c, taking the cross terms
 of a block of rows from one BLAS product, on samples and points shifted by
 the sample mean, so a large mean costs no precision.  A rounding bound set
-by the dtype, d and the centered norms marks every row whose two best
-values are too close to call, exact ties included; those rows are ranked
-again by the difference formula sum_i (x_i - c_i)^2, and every squared
-distance is that formula's on the chosen point.  So labels and distances
-are exactly the difference formula's, ties go to the lowest index, and runs
-are reproducible.  Memory is O(n k), plus one workspace per ``jobs`` thread
-(a (k, rows) block of at most 8 MiB, a (rows, d) gather buffer, n labels and
-distances), plus the centered copy and (d, n) column copy ``lloyd`` shares.
-``_domain_means`` computes every domain mean.  Indices are 0-based
-throughout.  The module itself loads numpy only: the one-dimensional
-solver reaches scipy only through the law's own methods (see
-``funquant.laws``).
+by the dtype, d and the centered norms marks the points too close to each
+row's best to call, and a second product counts each row's marks and sums
+their indices into a (2, rows) tally.  Rows with more than one mark, exact
+ties included, are ranked again by the difference formula
+sum_i (x_i - c_i)^2, and every squared distance is that formula's on the
+chosen point.  So labels and distances are exactly the difference
+formula's, ties go to the lowest index, and runs are reproducible.  Memory
+is O(n k), plus one workspace per ``jobs`` thread (a (k, rows) block of at
+most 8 MiB, the tally, a (rows, d) gather buffer, n labels and distances),
+plus the centered copy and (d, n) column copy that ``lloyd`` shares and
+seeds from.  ``_domain_means`` computes every domain mean.  Indices are
+0-based throughout.  The module itself loads numpy only: the
+one-dimensional solver reaches scipy only through the law's own methods.
 """
 
 from __future__ import annotations
@@ -110,11 +107,9 @@ class _Workspace:
 
     def __init__(self, n: int, k: int, d: int):
         self.rows = max(1, min(n, _BLOCK_BYTES // (8 * max(k, d))))
-        # flat, so a short last block takes a contiguous (k, rows) prefix
-        self.expanded = np.empty(k * self.rows)
-        self.close = np.empty(k * self.rows, dtype=bool)
-        self.row_min, self.bound, self.label_sum = np.empty((3, self.rows))
-        self.counts = np.empty(self.rows, dtype=np.int32)
+        # flat, so a short last block takes a contiguous (k, rows) or (2, rows) prefix
+        self.expanded, self.tally = np.empty(k * self.rows), np.empty(2 * self.rows)
+        self.row_min, self.bound = np.empty((2, self.rows))
         self.gather = np.empty((self.rows, d))
         self.labels = np.empty(n, dtype=np.intp)
         self.d2min = np.empty(n)
@@ -131,13 +126,15 @@ def _nearest(samples: np.ndarray, points: np.ndarray, centered=None, work=None) 
     difference formula each differ from the exact distance by at most
     about (d + 3) eps/2 R^2 per point, where R = |x - s| + max_j |c_j - s|
     and s is the shift, so a row whose two best expanded values lie more
-    than (2d + 8) eps R^2 apart has the same nearest point under both.
-    Any other row, exact ties included, is ranked again by the difference
-    formula.  The squared distance is the difference formula's, on the
-    chosen point only.  ``centered`` is ``_centered(samples)`` when the
-    caller already has it.  Blocks write into ``work`` (a new ``_Workspace``
-    when None), whose labels and distances are returned and overwritten by
-    its next call; memory is O(n k) plus one workspace per ``jobs`` thread.
+    than (2d + 8) eps R^2 apart has the same nearest point under both.  A
+    product of [1 ... 1; 0 ... k-1] with the 0/1 mask of the points that
+    close to a row's best counts them and sums their indices, exactly; a
+    row with one takes that sum as its label.  Any other row, exact ties
+    included, is ranked again by the difference formula.  The squared
+    distance is the difference formula's, on the chosen point only.
+    ``centered`` is ``_centered(samples)`` when the caller already has it.
+    Blocks write into ``work`` (a new ``_Workspace`` when None), whose
+    labels and distances are returned and overwritten by its next call.
     """
     x, shift, norms = _centered(samples) if centered is None else centered
     n, d = samples.shape
@@ -150,7 +147,7 @@ def _nearest(samples: np.ndarray, points: np.ndarray, centered=None, work=None) 
     slack = (2 * d + 8) * np.finfo(samples.dtype).eps
     # the floor covers the absolute rounding of gradual underflow
     floor = np.finfo(samples.dtype).tiny
-    index = np.arange(k, dtype=float)[:, None]
+    weights = np.vstack([np.ones(k), np.arange(k)])
     repair_rows = max(1, _BLOCK_BYTES // (8 * points.size))
     labels, d2min = work.labels, work.d2min
     for start in range(0, n, work.rows):
@@ -164,12 +161,12 @@ def _nearest(samples: np.ndarray, points: np.ndarray, centered=None, work=None) 
         bound += floor
         row_min = expanded.min(axis=0, out=work.row_min[:m])
         row_min += bound
-        close = np.less_equal(expanded, row_min, out=work.close[:k * m].reshape(k, m))
-        counts = close.sum(axis=0, dtype=np.int32, out=work.counts[:m])
-        # where one point is close, the index-weighted sum is that point's index
-        labels[start:stop] = np.multiply(close, index, out=expanded).sum(axis=0, out=work.label_sum[:m])
-        # close[0] is spent, so it holds the rows with no single close point
-        near = start + np.flatnonzero(np.not_equal(counts, 1, out=close[0]))
+        # the spent block takes the close mask as 0.0/1.0, which one product tallies
+        close = np.less_equal(expanded, row_min, out=expanded)
+        counts, index_sum = np.matmul(weights, close, out=work.tally[:2 * m].reshape(2, m))
+        labels[start:stop] = index_sum
+        # close[0] is spent, so it marks the rows with no single close point
+        near = start + np.flatnonzero(np.not_equal(counts, 1.0, out=close[0]))
         for first in range(0, near.size, repair_rows):
             tied = near[first:first + repair_rows]
             labels[tied] = _repair(samples[tied], points)
@@ -244,16 +241,19 @@ def _check_samples(samples, d: int | None = None) -> np.ndarray:
     return samples
 
 
-def _kmeanspp_init(samples: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(samples: np.ndarray, columns: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = samples.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = ((samples - samples[chosen[0]]) ** 2).sum(axis=1)
+    d2, dist, term = np.full(n, np.inf), np.empty(n), np.empty(n)
     for _ in range(1, k):
-        total = d2.sum()
+        # the last pick's squared distances, summed over the (d, n) columns in coordinate order
+        dist.fill(0.0)
+        for column, c in zip(columns, samples[chosen[-1]]):
+            dist += np.square(np.subtract(column, c, out=term), out=term)
+        total = np.minimum(d2, dist, out=d2).sum()
         # with every distance zero, the lowest row not yet chosen
         idx = int(rng.choice(n, p=d2 / total)) if total > 0.0 else next(i for i in range(n) if i not in chosen)
         chosen.append(idx)
-        d2 = np.minimum(d2, ((samples - samples[idx]) ** 2).sum(axis=1))
     return samples[chosen]
 
 
@@ -322,6 +322,7 @@ def lloyd(
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, items))
 
+    centered, columns = _centered(samples), np.ascontiguousarray(samples.T)
     if isinstance(init, str):
         if init != "kmeans++":
             raise UsageError(f"unknown init {init!r}; expected 'kmeans++' or an array of points")
@@ -329,8 +330,8 @@ def lloyd(
             raise UsageError(f"restarts must be >= 1, got {restarts}")
         # [seed, 1] keeps restart streams disjoint from sampling streams of the same
         # seed.  All starts are seeded before any solve makes its workspace.
-        streams = np.random.SeedSequence([seed, 1]).spawn(restarts)
-        starts = each(lambda s: _kmeanspp_init(samples, k, np.random.Generator(np.random.Philox(s))), streams)
+        rngs = [np.random.Generator(np.random.Philox(s)) for s in np.random.SeedSequence([seed, 1]).spawn(restarts)]
+        starts = each(lambda rng: _kmeanspp_init(samples, columns, k, rng), rngs)
     else:
         init_points = np.asarray(init, dtype=float)
         if init_points.shape != (k, samples.shape[1]):
@@ -340,7 +341,6 @@ def lloyd(
         if not np.isfinite(init_points).all():
             raise UsageError("initial points must be finite; found NaN or infinite entries")
         starts = [init_points]
-    centered, columns = _centered(samples), np.ascontiguousarray(samples.T)
     local = threading.local()
 
     def solve(start):

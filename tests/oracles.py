@@ -164,19 +164,31 @@ def reference_lloyd_once(samples, k, tol, max_iter, points):
     return points, final_mse, iterations, converged, tuple(mse_history)
 
 
+def reference_kmeanspp_init(samples, k, rng):
+    """k-means++ starts, each pick's squared distances summed along the sample rows."""
+    n = samples.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = ((samples - samples[chosen[0]]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        total = d2.sum()
+        # with every distance zero, the lowest row not yet chosen
+        idx = int(rng.choice(n, p=d2 / total)) if total > 0.0 else next(i for i in range(n) if i not in chosen)
+        chosen.append(idx)
+        d2 = np.minimum(d2, ((samples - samples[idx]) ** 2).sum(axis=1))
+    return samples[chosen]
+
+
 def reference_lloyd(samples, k, init=None, tol=1e-8, max_iter=300, restarts=10, seed=0):
     """Best run as (points, final mse, iterations, converged, mse history, residual).
 
-    Restart streams and k-means++ starts are drawn exactly as ``lloyd`` draws
-    them; the starts come from the package, which this reference does not test.
+    Restart streams and k-means++ starts are drawn as ``lloyd`` draws them,
+    the starts by ``reference_kmeanspp_init``.
     """
-    from funquant.quantize import _kmeanspp_init
-
     if init is not None:
         starts = [init]
     else:
         streams = np.random.SeedSequence([seed, 1]).spawn(restarts)
-        starts = [_kmeanspp_init(samples, k, np.random.Generator(np.random.Philox(s))) for s in streams]
+        starts = [reference_kmeanspp_init(samples, k, np.random.Generator(np.random.Philox(s))) for s in streams]
     runs = [reference_lloyd_once(samples, k, tol, max_iter, start) for start in starts]
     best = runs[min(range(len(runs)), key=lambda r: (runs[r][1], r))]
     return best + (reference_residual(samples, best[0]),)

@@ -585,6 +585,11 @@ class TestNearestKernel:
         assert peak < 32 * 2**20
 
 
+def repaired_rows(seen) -> list:
+    """Every row ``record_repairs`` saw, as sorted bytes, so threads' order does not matter."""
+    return sorted(row.tobytes() for block in seen for row in block)
+
+
 def poison(work):
     """Fill every buffer of a ``_Workspace`` with values no kernel result can take."""
     for buf in vars(work).values():
@@ -604,12 +609,16 @@ class TestWorkspace:
         seen = record_repairs(monkeypatch)
         tie_points = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [1, 0, 0]], dtype=float)
         for points in (rng.standard_normal((5, 3)), tie_points, 3.0 * rng.standard_normal((5, 3))):
+            first = len(seen)
             expected = quantize._nearest(draws, points)
+            fresh = len(seen)
             poison(work)
             labels, d2min = quantize._nearest(draws, points, quantize._centered(draws), work)
             assert labels is work.labels and d2min is work.d2min
             np.testing.assert_array_equal(labels, expected[0])
             np.testing.assert_array_equal(d2min, expected[1])
+            # a stale count only sends rows to the repair path, whose labels are exact
+            assert repaired_rows(seen[fresh:]) == repaired_rows(seen[first:fresh])
         assert seen
 
     @pytest.mark.parametrize("block_bytes", [quantize._BLOCK_BYTES, 1000], ids=["default-block", "tiny-block"])
@@ -618,7 +627,10 @@ class TestWorkspace:
         monkeypatch.setattr(quantize, "_BLOCK_BYTES", block_bytes)
         make, k, kwargs = LLOYD_CASES[case]
         draws = make()
+        seen = record_repairs(monkeypatch)
         expected_points, expected_report = lloyd(draws, k, **kwargs)
+        expected_repairs = repaired_rows(seen)
+        seen.clear()
         nearest, calls = quantize._nearest, []
 
         def poisoned(samples, points, centered=None, work=None):
@@ -632,6 +644,7 @@ class TestWorkspace:
         assert len(calls) > report.iterations
         np.testing.assert_array_equal(points.points, expected_points.points)
         assert report == expected_report
+        assert repaired_rows(seen) == expected_repairs
 
     def test_one_workspace_per_worker_thread(self, monkeypatch):
         made = []
@@ -661,6 +674,79 @@ class TestWorkspace:
         for other_points, other_report in others:
             np.testing.assert_array_equal(other_points.points, points.points)
             assert other_report == report
+
+
+class RecordingGenerator:
+    """A Philox generator whose ``choice`` calls keep a copy of their ``p``."""
+
+    def __init__(self, seed):
+        self.rng, self.p = np.random.Generator(np.random.Philox(seed)), []
+
+    def integers(self, n):
+        return self.rng.integers(n)
+
+    def choice(self, n, p):
+        self.p.append(p.copy())
+        return self.rng.choice(n, p=p)
+
+
+def kmeanspp_both(draws, k, seed):
+    """Starts and per-pick probabilities from the package and from the row-formula reference."""
+    package, reference = RecordingGenerator(seed), RecordingGenerator(seed)
+    starts = quantize._kmeanspp_init(draws, np.ascontiguousarray(draws.T), k, package)
+    return (starts, package.p), (oracles.reference_kmeanspp_init(draws, k, reference), reference.p)
+
+
+def seeding_draws(d, n=3000, seed=50):
+    return sample(t5_model(1.0 / np.arange(1, d + 1) ** 2), n, seed=seed + d) + 10.0
+
+
+class TestKmeansppSeeding:
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 64])
+    def test_starts_match_the_row_formula(self, d):
+        draws = seeding_draws(d)
+        for seed, k in [(0, 2), (1, 8), (2, 16), (3, 40)]:
+            (starts, p), (expected, _) = kmeanspp_both(draws, k, seed)
+            assert len(p) == k - 1
+            np.testing.assert_array_equal(starts, expected)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7])
+    def test_pick_distances_match_the_row_formula_bit_for_bit(self, d):
+        # numpy sums rows shorter than 8 in order, as the columns are summed
+        (_, p), (_, expected) = kmeanspp_both(seeding_draws(d), 16, seed=d)
+        assert len(p) == len(expected) == 15
+        for got, want in zip(p, expected):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [8, 9, 64])
+    def test_long_rows_differ_from_the_row_formula_only_in_rounding(self, d):
+        # numpy sums rows of 8 or more pairwise, so the order, and the last bits, can differ
+        (_, p), (_, expected) = kmeanspp_both(seeding_draws(d), 16, seed=d)
+        assert len(p) == len(expected) == 15
+        for got, want in zip(p, expected):
+            np.testing.assert_allclose(got, want, rtol=2 * d * np.finfo(float).eps, atol=0.0)
+
+    @pytest.mark.parametrize("d", [1, 3, 9])
+    def test_identical_rows_fall_back_to_the_lowest_rows(self, d):
+        draws = np.full((30, d), 2.5)
+        (starts, p), (expected, _) = kmeanspp_both(draws, 5, seed=4)
+        np.testing.assert_array_equal(starts, expected)
+        assert p == []  # every pick after the first is the fallback
+
+    def test_lloyd_seeds_from_its_shared_columns(self, monkeypatch):
+        draws = seeding_draws(3, n=500)
+        seen = []
+        init = quantize._kmeanspp_init
+
+        def recording(samples, columns, k, rng):
+            seen.append(columns)
+            return init(samples, columns, k, rng)
+
+        monkeypatch.setattr(quantize, "_kmeanspp_init", recording)
+        lloyd(draws, 4, restarts=3, seed=5, jobs=2)
+        assert len(seen) == 3 and all(columns is seen[0] for columns in seen)
+        assert seen[0].flags.c_contiguous
+        np.testing.assert_array_equal(seen[0], draws.T)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
