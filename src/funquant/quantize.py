@@ -5,28 +5,31 @@ sample matrices, with k-means++ style seeding, multiple restarts and
 farthest-point re-seeding of empty domains.  ``univariate_principal_points``
 is the one-dimensional solver driven by exact cell moments of a law, used
 both for the closed-form two-point solution along the leading
-eigendirection and for the scale-free quantization constant ``g``.  Its
-Newton steps each take one array ``cell_moments`` call, with tail-exact
-masses (see ``funquant.laws``), and one L D L^T solve of the tridiagonal
-Hessian (``_solve_tridiagonal``).
+eigendirection and for the scale-free quantization constant ``g``.  It makes
+Newton steps on the expected squared distance: one array ``cell_moments``
+call gives every cell's mass and moments, and the Hessian is tridiagonal,
+so each step is one L D L^T solve (``_solve_tridiagonal``) and the
+iteration converges quadratically.  Where the Hessian is not positive
+definite, or a step would break the points' order, it falls back to one
+Lloyd-Max step (each point to its cell mean).  Cell masses are tail-exact
+(see ``funquant.laws``), so far tail cells keep their conditional means.
 
 One blocked kernel, ``_nearest``, assigns every sample to its nearest point.
 It ranks the points by the expansion |c|^2 - 2 x.c, taking the cross terms
 of a block of rows from one BLAS product, on samples and points shifted by
 the sample mean, so a large mean costs no precision.  A rounding bound set
-by the dtype, d and the centered norms marks the points too close to each
-row's best to call, and a second product counts each row's marks and sums
-their indices into a (2, rows) tally.  Rows with more than one mark, exact
-ties included, are ranked again by the difference formula
-sum_i (x_i - c_i)^2, and every squared distance is that formula's on the
-chosen point.  So labels and distances are exactly the difference
-formula's, ties go to the lowest index, and runs are reproducible.  Memory
-is O(n k), plus one workspace per ``jobs`` thread (a (k, rows) block of at
-most 8 MiB, the tally, a (rows, d) gather buffer, n labels and distances),
-plus the centered copy and (d, n) column copy that ``lloyd`` shares and
-seeds from.  ``_domain_means`` computes every domain mean.  Indices are
-0-based throughout.  The module itself loads numpy only: the
-one-dimensional solver reaches scipy only through the law's own methods.
+by the dtype, d and the centered norms marks every row whose two best
+values are too close to call, exact ties included; those rows are ranked
+again by the difference formula sum_i (x_i - c_i)^2, and every squared
+distance is that formula's on the chosen point.  So labels and distances
+are exactly the difference formula's, ties go to the lowest index, and runs
+are reproducible.  Memory is O(n k), plus one workspace per ``jobs`` thread
+(a (k, rows) block of at most 8 MiB, a (2, rows) tally, a (rows, d) gather
+buffer, n labels and distances), plus the centered copy and (d, n) column
+copy ``lloyd`` shares and seeds from.  ``_domain_means`` computes every
+domain mean.  Indices are 0-based throughout.  The module itself loads
+numpy only: the one-dimensional solver reaches scipy only through the
+law's own methods (see ``funquant.laws``).
 """
 
 from __future__ import annotations
@@ -103,7 +106,7 @@ def _repair(samples: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 class _Workspace:
-    """One thread's ``_nearest`` buffers, for blocks of ``rows`` rows (``_BLOCK_BYTES`` read when made)."""
+    """One thread's ``_nearest`` buffers and tally, for blocks of ``rows`` rows (``_BLOCK_BYTES`` read when made)."""
 
     def __init__(self, n: int, k: int, d: int):
         self.rows = max(1, min(n, _BLOCK_BYTES // (8 * max(k, d))))
@@ -126,10 +129,10 @@ def _nearest(samples: np.ndarray, points: np.ndarray, centered=None, work=None) 
     difference formula each differ from the exact distance by at most
     about (d + 3) eps/2 R^2 per point, where R = |x - s| + max_j |c_j - s|
     and s is the shift, so a row whose two best expanded values lie more
-    than (2d + 8) eps R^2 apart has the same nearest point under both.  A
-    product of [1 ... 1; 0 ... k-1] with the 0/1 mask of the points that
-    close to a row's best counts them and sums their indices, exactly; a
-    row with one takes that sum as its label.  Any other row, exact ties
+    than (2d + 8) eps R^2 apart has the same nearest point under both.  The
+    (2, rows) tally, [1 ... 1; 0 ... k-1] times the 0/1 mask of points that
+    close to a row's best, counts them and sums their indices exactly; a
+    row with one takes the sum as its label, and any other, exact ties
     included, is ranked again by the difference formula.  The squared
     distance is the difference formula's, on the chosen point only.
     ``centered`` is ``_centered(samples)`` when the caller already has it.
@@ -161,12 +164,10 @@ def _nearest(samples: np.ndarray, points: np.ndarray, centered=None, work=None) 
         bound += floor
         row_min = expanded.min(axis=0, out=work.row_min[:m])
         row_min += bound
-        # the spent block takes the close mask as 0.0/1.0, which one product tallies
-        close = np.less_equal(expanded, row_min, out=expanded)
+        close = np.less_equal(expanded, row_min, out=expanded)  # the spent block takes the mask as 0.0/1.0
         counts, index_sum = np.matmul(weights, close, out=work.tally[:2 * m].reshape(2, m))
         labels[start:stop] = index_sum
-        # close[0] is spent, so it marks the rows with no single close point
-        near = start + np.flatnonzero(np.not_equal(counts, 1.0, out=close[0]))
+        near = start + np.flatnonzero(np.not_equal(counts, 1.0, out=close[0]))  # close[0] is spent by now
         for first in range(0, near.size, repair_rows):
             tied = near[first:first + repair_rows]
             labels[tied] = _repair(samples[tied], points)
@@ -246,8 +247,7 @@ def _kmeanspp_init(samples: np.ndarray, columns: np.ndarray, k: int, rng: np.ran
     chosen = [int(rng.integers(n))]
     d2, dist, term = np.full(n, np.inf), np.empty(n), np.empty(n)
     for _ in range(1, k):
-        # the last pick's squared distances, summed over the (d, n) columns in coordinate order
-        dist.fill(0.0)
+        dist.fill(0.0)  # the last pick's squared distances, summed over the columns in coordinate order
         for column, c in zip(columns, samples[chosen[-1]]):
             dist += np.square(np.subtract(column, c, out=term), out=term)
         total = np.minimum(d2, dist, out=d2).sum()
