@@ -727,26 +727,13 @@ class TestKmeansppSeeding:
             np.testing.assert_allclose(got, want, rtol=2 * d * np.finfo(float).eps, atol=0.0)
 
     @pytest.mark.parametrize("d", [1, 3, 9])
-    def test_identical_rows_fall_back_to_the_lowest_rows(self, d):
-        draws = np.full((30, d), 2.5)
-        (starts, p), (expected, _) = kmeanspp_both(draws, 5, seed=4)
+    def test_zero_distances_fall_back_without_a_draw(self, d):
+        # two distinct rows: one draw finds the other, then every distance is zero
+        draws = np.repeat([[2.5] * d, [-1.0] * d], 15, axis=0)
+        (starts, p), (expected, expected_p) = kmeanspp_both(draws, 5, seed=4)
         np.testing.assert_array_equal(starts, expected)
-        assert p == []  # every pick after the first is the fallback
-
-    def test_lloyd_seeds_from_its_shared_columns(self, monkeypatch):
-        draws = seeding_draws(3, n=500)
-        seen = []
-        init = quantize._kmeanspp_init
-
-        def recording(samples, columns, k, rng):
-            seen.append(columns)
-            return init(samples, columns, k, rng)
-
-        monkeypatch.setattr(quantize, "_kmeanspp_init", recording)
-        lloyd(draws, 4, restarts=3, seed=5, jobs=2)
-        assert len(seen) == 3 and all(columns is seen[0] for columns in seen)
-        assert seen[0].flags.c_contiguous
-        np.testing.assert_array_equal(seen[0], draws.T)
+        assert len(p) == len(expected_p) == 1
+        np.testing.assert_array_equal(p[0], expected_p[0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
