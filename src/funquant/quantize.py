@@ -14,17 +14,18 @@ definite, or a step would break the points' order, it falls back to one
 Lloyd-Max step (each point to its cell mean).  Cell masses are tail-exact
 (see ``funquant.laws``), so far tail cells keep their conditional means.
 
-One blocked kernel, ``_nearest``, assigns every sample to its nearest point.
-It ranks the points by the expansion |c|^2 - 2 x.c, taking the cross terms
-of a block of rows from one BLAS product, on samples and points shifted by
-the sample mean, so a large mean costs no precision.  A rounding bound set
-by the dtype, d and the centered norms marks every row whose two best
-values are too close to call, exact ties included; those rows are ranked
-again by the difference formula sum_i (x_i - c_i)^2, and every squared
-distance is that formula's on the chosen point.  So labels and distances
-are exactly the difference formula's, ties go to the lowest index, and runs
-are reproducible.  Memory is O(n k), plus one workspace per ``jobs`` thread
-(a (k, rows) block of at most 8 MiB, a (2, rows) tally, a (rows, d) gather
+One blocked kernel, ``_nearest``, labels every sample with its nearest
+point.  It ranks the points by the expansion |c|^2 - 2 x.c, taking the
+cross terms of a block of rows from one BLAS product, on samples and points
+shifted by the sample mean, so a large mean costs no precision.  A rounding
+bound set by the dtype, d and the centered norms marks every row whose two
+best values are too close to call, exact ties included; those rows are
+ranked again by the difference formula sum_i (x_i - c_i)^2.  So labels are
+exactly the difference formula's, ties go to the lowest index, and runs are
+reproducible.  A Lloyd step reads only labels: ``_sq_distances``, the
+difference formula on each row's labelled point, runs only where distances
+are read.  Memory is O(n k), plus one workspace per ``jobs`` thread (a
+(k, rows) block of at most 8 MiB, a (2, rows) tally, a (rows, d) gather
 buffer, n labels and distances), plus the centered copy and (d, n) column
 copy ``lloyd`` shares and seeds from.  ``_domain_means`` computes every
 domain mean.  Indices are 0-based throughout.  The module itself loads
@@ -84,10 +85,9 @@ class LloydReport:
     self_consistency_residual: float
     restarts_used: int
     converged: bool
-    mse_history: tuple[float, ...] = ()
 
 
-# Cap on the bytes of a ``_nearest`` block's (k, rows) expanded distances and (rows, d) differences.
+# Cap on the bytes of a ``_nearest`` block's (k, rows) expanded distances; ``_sq_distances`` gathers as many rows.
 _BLOCK_BYTES = 8 << 20
 
 
@@ -106,7 +106,7 @@ def _repair(samples: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 class _Workspace:
-    """One thread's ``_nearest`` buffers and tally, for blocks of ``rows`` rows (``_BLOCK_BYTES`` read when made)."""
+    """One thread's ``_nearest`` and ``_sq_distances`` buffers, ``rows`` a block (``_BLOCK_BYTES`` read when made)."""
 
     def __init__(self, n: int, k: int, d: int):
         self.rows = max(1, min(n, _BLOCK_BYTES // (8 * max(k, d))))
@@ -114,30 +114,26 @@ class _Workspace:
         self.expanded, self.tally = np.empty(k * self.rows), np.empty(2 * self.rows)
         self.row_min, self.bound = np.empty((2, self.rows))
         self.gather = np.empty((self.rows, d))
-        self.labels = np.empty(n, dtype=np.intp)
-        self.d2min = np.empty(n)
+        self.labels, self.d2min = np.empty(n, dtype=np.intp), np.empty(n)
 
 
-def _nearest(samples: np.ndarray, points: np.ndarray, centered=None, work=None) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-point labels (ties to the lowest index) and squared distances.
+def _nearest(samples: np.ndarray, points: np.ndarray, centered=None, work=None) -> np.ndarray:
+    """Nearest-point labels, ties to the lowest index.
 
-    The labels and distances are exactly those of the difference formula
-    sum_i (x_i - c_i)^2.  Points are ranked by the expansion
-    |c|^2 - 2 x.c on samples and points shifted by the sample mean, with
-    the cross terms of a block of rows from one BLAS product (|x|^2 is the
-    same for every point of a row and is dropped).  The expansion and the
-    difference formula each differ from the exact distance by at most
-    about (d + 3) eps/2 R^2 per point, where R = |x - s| + max_j |c_j - s|
-    and s is the shift, so a row whose two best expanded values lie more
-    than (2d + 8) eps R^2 apart has the same nearest point under both.  The
-    (2, rows) tally, [1 ... 1; 0 ... k-1] times the 0/1 mask of points that
-    close to a row's best, counts them and sums their indices exactly; a
-    row with one takes the sum as its label, and any other, exact ties
-    included, is ranked again by the difference formula.  The squared
-    distance is the difference formula's, on the chosen point only.
-    ``centered`` is ``_centered(samples)`` when the caller already has it.
-    Blocks write into ``work`` (a new ``_Workspace`` when None), whose
-    labels and distances are returned and overwritten by its next call.
+    The labels are exactly those of the difference formula sum_i (x_i - c_i)^2.
+    Points are ranked by the expansion |c|^2 - 2 x.c on samples and points
+    shifted by the sample mean, with the cross terms of a block of rows from
+    one BLAS product (|x|^2 is the same for every point of a row and is
+    dropped).  The expansion and the difference formula each differ from the
+    exact distance by at most about (d + 3) eps/2 R^2 per point, where
+    R = |x - s| + max_j |c_j - s| and s is the shift, so a row whose two best
+    expanded values lie more than (2d + 8) eps R^2 apart has the same nearest
+    point under both.  The (2, rows) tally, [1 ... 1; 0 ... k-1] times the 0/1
+    mask of points that close to a row's best, counts them and sums their indices
+    exactly; a row with one takes the sum as its label, and any other, exact
+    ties included, is ranked again by the difference formula.  ``centered`` is
+    ``_centered(samples)`` when the caller has it.  Blocks write into ``work``
+    (new when None); its labels are returned, and overwritten by its next call.
     """
     x, shift, norms = _centered(samples) if centered is None else centered
     n, d = samples.shape
@@ -152,7 +148,7 @@ def _nearest(samples: np.ndarray, points: np.ndarray, centered=None, work=None) 
     floor = np.finfo(samples.dtype).tiny
     weights = np.vstack([np.ones(k), np.arange(k)])
     repair_rows = max(1, _BLOCK_BYTES // (8 * points.size))
-    labels, d2min = work.labels, work.d2min
+    labels = work.labels
     for start in range(0, n, work.rows):
         stop = min(start + work.rows, n)
         m = stop - start
@@ -171,11 +167,20 @@ def _nearest(samples: np.ndarray, points: np.ndarray, centered=None, work=None) 
         for first in range(0, near.size, repair_rows):
             tied = near[first:first + repair_rows]
             labels[tied] = _repair(samples[tied], points)
+    return labels
+
+
+def _sq_distances(samples: np.ndarray, points: np.ndarray, labels: np.ndarray, work=None) -> np.ndarray:
+    """Each row's squared distance to its labelled point by the difference formula, in ``work.d2min``."""
+    n = samples.shape[0]
+    work = _Workspace(n, *points.shape) if work is None else work
+    for start in range(0, n, work.rows):
+        stop = min(start + work.rows, n)
         # labels are in range, and "clip" writes straight into ``out``
-        diff = points.take(labels[start:stop], axis=0, out=work.gather[:m], mode="clip")
+        diff = points.take(labels[start:stop], axis=0, out=work.gather[:stop - start], mode="clip")
         np.subtract(samples[start:stop], diff, out=diff)
-        np.einsum("nd,nd->n", diff, diff, out=d2min[start:stop])
-    return labels, d2min
+        np.einsum("nd,nd->n", diff, diff, out=work.d2min[start:stop])
+    return work.d2min
 
 
 def _domain_means(columns: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -195,26 +200,25 @@ def _residual(columns: np.ndarray, labels: np.ndarray, points: np.ndarray) -> fl
 
 
 def min_distance(v, w: PointSet) -> tuple[float, int]:
-    """Distance from v to its nearest point and that point's (0-based) index.
-
-    Ties resolve to the lowest index.
-    """
+    """Distance from v to its nearest point and that point's (0-based) index, ties to the lowest."""
     v = np.asarray(v, dtype=float)
     if v.shape != (w.d,):
         raise ShapeError(f"vector must have shape ({w.d},), got {v.shape}")
-    labels, d2min = _nearest(_check_samples(v[None, :]), w.points)
-    return float(np.sqrt(d2min[0])), int(labels[0])
+    row = _check_samples(v[None, :])
+    labels = _nearest(row, w.points)
+    return float(np.sqrt(_sq_distances(row, w.points, labels)[0])), int(labels[0])
 
 
 def assign(samples: np.ndarray, w: PointSet) -> AttractionAssignment:
     """Domain-of-attraction labels for every sample row."""
-    labels, _ = _nearest(_check_samples(samples, w.d), w.points)
+    labels = _nearest(_check_samples(samples, w.d), w.points)
     return AttractionAssignment(labels=labels, counts=np.bincount(labels, minlength=w.k))
 
 
 def empirical_mse(samples: np.ndarray, w: PointSet) -> float:
     """Average squared distance to the nearest point of the set."""
-    return float(_nearest(_check_samples(samples, w.d), w.points)[1].mean())
+    samples = _check_samples(samples, w.d)
+    return float(_sq_distances(samples, w.points, _nearest(samples, w.points)).mean())
 
 
 def self_consistency_residual(samples: np.ndarray, w: PointSet) -> float:
@@ -223,12 +227,12 @@ def self_consistency_residual(samples: np.ndarray, w: PointSet) -> float:
     An empty domain is reported as ``inf`` rather than silently skipped.
     """
     samples = _check_samples(samples, w.d)
-    return _residual(samples.T, _nearest(samples, w.points)[0], w.points)
+    return _residual(samples.T, _nearest(samples, w.points), w.points)
 
 
 def quantizer_variable(samples: np.ndarray, w: PointSet) -> np.ndarray:
     """The nearest-point quantizer: row j maps to its assigned point."""
-    return w.points[_nearest(_check_samples(samples, w.d), w.points)[0]]
+    return w.points[_nearest(_check_samples(samples, w.d), w.points)]
 
 
 def _check_samples(samples, d: int | None = None) -> np.ndarray:
@@ -258,33 +262,29 @@ def _kmeanspp_init(samples: np.ndarray, columns: np.ndarray, k: int, rng: np.ran
 
 
 def _lloyd_once(samples, centered, columns, points, tol, max_iter, work):
-    # One run from the start ``points``, which it never writes to; the
-    # assignment made after the last update gives the final mse and residual.
-    # One labels/d2min pair in ``work`` is enough: the domain means read the
-    # old labels before the next ``_nearest`` writes them.
+    # One run from the start ``points``, which it never writes to.  Steps read only labels, and one
+    # array in ``work`` is enough: the domain means read them before the next ``_nearest`` writes them.
+    # The assignment made after the last update gives the final mse and residual.
     k = points.shape[0]
-    labels, d2min = _nearest(samples, points, centered, work)
-    mse_history, converged, iterations = [], False, 0
+    labels = _nearest(samples, points, centered, work)
+    converged, iterations = False, 0
     while iterations < max_iter and not converged:
         iterations += 1
-        mse_history.append(float(d2min.mean()))
         means, counts = _domain_means(columns, labels, k)
         new_points = np.where(counts[:, None] > 0, means, points)
         for j in np.flatnonzero(counts == 0):
             # re-seed to the sample farthest from the current set; keeps k fixed
-            new_points[j] = samples[int(_nearest(samples, new_points, centered, work)[1].argmax())]
+            far = _sq_distances(samples, new_points, _nearest(samples, new_points, centered, work), work)
+            new_points[j] = samples[int(far.argmax())]
         converged = float(np.linalg.norm(new_points - points, axis=1).max()) < tol
         points = new_points
-        labels, d2min = _nearest(samples, points, centered, work)
-    final_mse = float(d2min.mean())
-    mse_history.append(final_mse)
+        labels = _nearest(samples, points, centered, work)
     return points, LloydReport(
         iterations=iterations,
-        final_mse=final_mse,
+        final_mse=float(_sq_distances(samples, points, labels, work).mean()),
         self_consistency_residual=_residual(columns, labels, points),
         restarts_used=1,
         converged=converged,
-        mse_history=tuple(mse_history),
     )
 
 

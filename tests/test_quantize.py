@@ -118,12 +118,6 @@ class TestLloyd:
             np.sort(points.points, axis=0), np.sort(draws, axis=0), atol=1e-12
         )
 
-    def test_mse_history_non_increasing(self):
-        draws = sample(gaussian_model([4.0, 1.0, 0.25]), 20_000, seed=7)
-        _, report = lloyd(draws, 3, restarts=3, seed=2)
-        history = np.array(report.mse_history)
-        assert np.all(np.diff(history) <= 1e-12)
-
     def test_fixed_point_residual(self):
         draws = sample(gaussian_model([4.0, 1.0]), 20_000, seed=8)
         _, report = lloyd(draws, 2, tol=1e-10, restarts=3, seed=3)
@@ -154,8 +148,6 @@ class TestLloyd:
         points, report = lloyd(draws, 2, init=start, tol=1e-10, max_iter=200)
         assert points.k == 2
         assert report.self_consistency_residual < 1e-8
-        history = np.array(report.mse_history)
-        assert np.all(np.diff(history) <= 1e-12)
 
     def test_errors(self):
         draws = np.zeros((3, 2))
@@ -452,6 +444,12 @@ def record_repairs(monkeypatch) -> list:
     return seen
 
 
+def labels_and_distances(samples, points):
+    """Labels from ``_nearest``, then each row's squared distance from ``_sq_distances``."""
+    labels = quantize._nearest(samples, points)
+    return labels, quantize._sq_distances(samples, points, labels)
+
+
 class TestNearestKernel:
     @pytest.mark.parametrize("block_bytes", [quantize._BLOCK_BYTES, 1000], ids=["default-block", "tiny-block"])
     @pytest.mark.parametrize("case", sorted(LLOYD_CASES))
@@ -461,22 +459,38 @@ class TestNearestKernel:
         draws = make()
         points, report = lloyd(draws, k, **kwargs)
         ref = {key: value for key, value in kwargs.items() if key != "jobs"}
-        ref_points, ref_mse, ref_iterations, ref_converged, ref_history, ref_residual = oracles.reference_lloyd(
-            draws, k, **ref
-        )
+        ref_points, ref_mse, ref_iterations, ref_converged, _, ref_residual = oracles.reference_lloyd(draws, k, **ref)
         np.testing.assert_array_equal(points.points, ref_points)
         assert report.final_mse == ref_mse
         assert report.iterations == ref_iterations
         assert report.converged == ref_converged
-        assert report.mse_history == ref_history
         assert report.self_consistency_residual == ref_residual
+
+    @pytest.mark.parametrize("block_bytes", [quantize._BLOCK_BYTES, 1000], ids=["default-block", "tiny-block"])
+    @pytest.mark.parametrize("case", ["empty-domain-reseed", "offset-1e8-close-pair", "d3-k8-capped"])
+    def test_each_step_count_gives_the_reference_mse(self, case, block_bytes, monkeypatch):
+        # a solve capped at t steps ends with the mse after step t: the reference history, step by step
+        monkeypatch.setattr(quantize, "_BLOCK_BYTES", block_bytes)
+        make, k, kwargs = LLOYD_CASES[case]
+        draws = make()
+        tol, max_iter = kwargs.get("tol", 1e-8), kwargs.get("max_iter", 300)
+        if "init" in kwargs:
+            start = kwargs["init"]
+        else:  # the case's first k-means++ start
+            stream = np.random.SeedSequence([kwargs["seed"], 1]).spawn(1)[0]
+            start = oracles.reference_kmeanspp_init(draws, k, np.random.Generator(np.random.Philox(stream)))
+        _, _, steps, _, history = oracles.reference_lloyd_once(draws, k, tol, max_iter, start)
+        ladder = [lloyd(draws, k, init=start, tol=tol, max_iter=t)[1].final_mse for t in range(1, steps + 1)]
+        assert steps >= 10
+        assert ladder == list(history[1:])
+        assert np.all(np.diff([history[0], *ladder]) <= 0.0)
 
     @pytest.mark.parametrize("n", [1, 15, 16, 17])
     def test_blocks_match_full_tensor(self, n, monkeypatch):
         points = np.random.default_rng(30).standard_normal((5, 3))
         monkeypatch.setattr(quantize, "_BLOCK_BYTES", 16 * 5 * 3 * 8)  # 16 rows per block
         draws = np.random.default_rng(31).standard_normal((n, 3)) * 2.0
-        labels, d2min = quantize._nearest(draws, points)
+        labels, d2min = labels_and_distances(draws, points)
         d2 = oracles.reference_sq_distances(draws, points)
         np.testing.assert_array_equal(labels, d2.argmin(axis=1))
         np.testing.assert_array_equal(d2min, d2.min(axis=1))
@@ -504,7 +518,7 @@ class TestNearestKernel:
         uncentered = ((points**2).sum(axis=1) - 2.0 * draws @ points.T).argmin(axis=1)
         assert (uncentered != d2.argmin(axis=1)).sum() > 100
         seen = record_repairs(monkeypatch)
-        labels, d2min = quantize._nearest(draws, points)
+        labels, d2min = labels_and_distances(draws, points)
         np.testing.assert_array_equal(labels, d2.argmin(axis=1))
         np.testing.assert_array_equal(d2min, d2.min(axis=1))
         # centered, the rounding scale is |x - mu|^2, not |mu|^2, so no row is a near tie
@@ -519,7 +533,7 @@ class TestNearestKernel:
         d2 = oracles.reference_sq_distances(lattice, points)
         tied = (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1
         assert tied.sum() == 22  # the shift keeps every tie of the unshifted lattice exact
-        labels, d2min = quantize._nearest(lattice, points)
+        labels, d2min = labels_and_distances(lattice, points)
         np.testing.assert_array_equal(labels, d2.argmin(axis=1))
         np.testing.assert_array_equal(d2min, d2.min(axis=1))
         assert not (labels == 4).any()
@@ -536,7 +550,7 @@ class TestNearestKernel:
         plane = np.column_stack([0.5 + offplane, 0.1 * rng.standard_normal((200, 2))])
         draws = np.vstack([sample(t5_model([4.0, 1.0, 0.25]), 10_000, seed=38), plane])
         seen = record_repairs(monkeypatch)
-        labels, d2min = quantize._nearest(draws, points)
+        labels, d2min = labels_and_distances(draws, points)
         d2 = oracles.reference_sq_distances(draws, points)
         np.testing.assert_array_equal(labels, d2.argmin(axis=1))
         np.testing.assert_array_equal(d2min, d2.min(axis=1))
@@ -565,7 +579,7 @@ class TestNearestKernel:
         rng = np.random.default_rng(39)
         draws = scale * (5.0 + rng.standard_normal((400, d)))
         points = scale * (5.0 + spread * rng.standard_normal((k, d)))
-        labels, d2min = quantize._nearest(draws, points)
+        labels, d2min = labels_and_distances(draws, points)
         d2 = oracles.reference_sq_distances(draws, points)
         np.testing.assert_array_equal(labels, d2.argmin(axis=1))
         np.testing.assert_array_equal(d2min, d2.min(axis=1))
@@ -590,10 +604,10 @@ def repaired_rows(seen) -> list:
     return sorted(row.tobytes() for block in seen for row in block)
 
 
-def poison(work):
-    """Fill every buffer of a ``_Workspace`` with values no kernel result can take."""
+def poison(work, keep=None):
+    """Fill every buffer of a ``_Workspace`` but ``keep`` with values no kernel result can take."""
     for buf in vars(work).values():
-        if isinstance(buf, np.ndarray):
+        if isinstance(buf, np.ndarray) and buf is not keep:
             buf.fill(np.nan if buf.dtype.kind == "f" else True if buf.dtype == bool else -1)
 
 
@@ -610,10 +624,12 @@ class TestWorkspace:
         tie_points = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [1, 0, 0]], dtype=float)
         for points in (rng.standard_normal((5, 3)), tie_points, 3.0 * rng.standard_normal((5, 3))):
             first = len(seen)
-            expected = quantize._nearest(draws, points)
+            expected = labels_and_distances(draws, points)
             fresh = len(seen)
             poison(work)
-            labels, d2min = quantize._nearest(draws, points, quantize._centered(draws), work)
+            labels = quantize._nearest(draws, points, quantize._centered(draws), work)
+            poison(work, keep=labels)  # the labels are the distance pass's input
+            d2min = quantize._sq_distances(draws, points, labels, work)
             assert labels is work.labels and d2min is work.d2min
             np.testing.assert_array_equal(labels, expected[0])
             np.testing.assert_array_equal(d2min, expected[1])
@@ -631,20 +647,55 @@ class TestWorkspace:
         expected_points, expected_report = lloyd(draws, k, **kwargs)
         expected_repairs = repaired_rows(seen)
         seen.clear()
-        nearest, calls = quantize._nearest, []
+        calls = []
 
-        def poisoned(samples, points, centered=None, work=None):
-            assert work is not None  # every kernel call of a solve goes through its workspace
-            poison(work)
-            calls.append(work)
-            return nearest(samples, points, centered, work)
+        def poisoned(kernel):
+            # ``arg`` is the centering for ``_nearest`` and the labels, kept, for ``_sq_distances``
+            def call(samples, points, arg, work=None):
+                assert work is not None  # every kernel call of a solve goes through its workspace
+                poison(work, keep=arg)
+                calls.append(kernel.__name__)
+                return kernel(samples, points, arg, work)
 
-        monkeypatch.setattr(quantize, "_nearest", poisoned)
+            return call
+
+        for name in ("_nearest", "_sq_distances"):
+            monkeypatch.setattr(quantize, name, poisoned(getattr(quantize, name)))
         points, report = lloyd(draws, k, **kwargs)
-        assert len(calls) > report.iterations
+        assert calls.count("_nearest") > report.iterations and "_sq_distances" in calls
         np.testing.assert_array_equal(points.points, expected_points.points)
         assert report == expected_report
         assert repaired_rows(seen) == expected_repairs
+
+    @pytest.mark.parametrize("max_iter", [1, 3, 300])
+    @pytest.mark.parametrize(
+        "case, reseeds", [("d3-k8-capped", 0), ("empty-domain-reseed", 2), ("isotropic-k3", 0), ("k-equals-n", 0)]
+    )
+    def test_distances_are_computed_once_per_run_and_reseed(self, case, reseeds, max_iter, monkeypatch):
+        # Lloyd steps read only labels, so no step count may add a distance pass
+        make, k, kwargs = LLOYD_CASES[case]
+        draws = make()
+        calls, iterations = [], []
+
+        def counting(kernel):
+            return lambda *args: calls.append(kernel.__name__) or kernel(*args)
+
+        for name in ("_nearest", "_sq_distances"):
+            monkeypatch.setattr(quantize, name, counting(getattr(quantize, name)))
+        lloyd_once = quantize._lloyd_once
+
+        def recording(*args):
+            result = lloyd_once(*args)
+            iterations.append(result[1].iterations)
+            return result
+
+        monkeypatch.setattr(quantize, "_lloyd_once", recording)
+        lloyd(draws, k, **{**kwargs, "max_iter": max_iter})
+        runs = 1 if "init" in kwargs else kwargs["restarts"]
+        assert len(iterations) == runs
+        # each run labels once at its start and once a step; each re-seed labels and measures once
+        assert calls.count("_nearest") == runs + sum(iterations) + reseeds
+        assert calls.count("_sq_distances") == runs + reseeds
 
     def test_one_workspace_per_worker_thread(self, monkeypatch):
         made = []
