@@ -31,7 +31,6 @@ from .checks import (
     check_unitary_equivariance,
     reference_models,
     reference_suite,
-    simplex_fit,
 )
 from .errors import (
     ConfigError,

@@ -2,14 +2,13 @@
 
 Each check measures residuals against stated tolerances and returns a
 structured :class:`VerificationReport`; a failing check reports
-``passed=False`` instead of raising, so suites can aggregate.  Apart from
-``tol_kernel`` and ``angle_tol``, each check's tolerances are fixed
-constants stated in its docstring, and every report records the tolerances
-it was judged by.  They fall into three classes, recorded per report:
-``exact-algebra`` (1e-10 scale, identities that hold up to rounding),
-``quadrature`` (1e-6..1e-4, limited by the one-dimensional solver), and
-``monte-carlo`` (standard-error multiples or relative percentages, limited
-by sampling).
+``passed=False`` instead of raising, so suites can aggregate.  Each check's
+tolerances are fixed constants stated in its docstring, and every report
+records the tolerances it was judged by.  They fall into three classes,
+recorded per report: ``exact-algebra`` (1e-10 scale, identities that hold
+up to rounding), ``quadrature`` (1e-6..1e-4, limited by the one-dimensional
+solver), and ``monte-carlo`` (standard-error multiples or relative
+percentages, limited by sampling).
 
 Checks whose preconditions cannot be decided from data (for example span
 comparisons under a nearly degenerate spectrum) come back flagged rather
@@ -35,6 +34,7 @@ from .laws import NormalMixtureLaw, UniformLaw, UnivariateLaw
 from .models import EllipticalModel, ScaleMixture, conditional_slope, sample
 from .quantize import (
     PointSet,
+    assign,
     empirical_mse,
     g_constant,
     lloyd,
@@ -91,75 +91,20 @@ def _finish(name, params, residuals, tolerances, tol_class, flags) -> Verificati
     )
 
 
-def _corral(shifted: np.ndarray, support: np.ndarray, weights: np.ndarray):
-    """Wolfe's minor cycles: the support and weights of the nearest point to
-    the origin of the hull of ``shifted[support]``, starting from ``weights``.
-
-    Each cycle takes the nearest point of the support's affine hull, by least
-    squares on the differences from the first support point.  If a weight of
-    that point is not positive, the weights move toward it until the first
-    one reaches 0, and that point leaves the support.
-    """
-    while True:
-        corral = shifted[support]
-        coef = np.linalg.lstsq((corral[1:] - corral[0]).T, -corral[0], rcond=None)[0]
-        affine = np.concatenate(([1.0 - coef.sum()], coef))
-        if np.all(affine > 0):
-            return support, affine
-        out = np.flatnonzero(affine <= 0)
-        step = weights[out] - affine[out]
-        ratios = np.divide(weights[out], step, out=np.zeros(out.size), where=step > 0)
-        theta = float(ratios.min())
-        weights = (1.0 - theta) * weights + theta * affine
-        weights[out[np.argmin(ratios)]] = 0.0
-        support, weights = support[weights > 0], weights[weights > 0]
-
-
-def simplex_fit(points: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares combination of rows of ``points`` matching ``target``,
-    with weights constrained to the probability simplex.
-
-    Wolfe's (1976) exact active-set method for the point x of
-    conv{y_j - target} nearest the origin.  Each major cycle adds the point
-    furthest behind x to the support and solves the minor cycles
-    (:func:`_corral`).  It stops when no point lies behind x by more than
-    1e-13 |x| max_j |y_j - target|, which bounds the distance's excess over
-    the optimum by 1e-13 max_j |y_j - target|, or when rounding keeps a
-    cycle from bringing x closer.  Returns the weights and the distance
-    |sum_j alpha_j y_j - target|.
-    """
-    points = np.asarray(points, dtype=float)
-    target = np.asarray(target, dtype=float)
-    shifted = points - target
-    sq_norms = (shifted * shifted).sum(axis=1)
-    scale = math.sqrt(float(sq_norms.max()))
-    support, weights = np.array([np.argmin(sq_norms)]), np.ones(1)
-    x = shifted[support[0]]
-    # every major cycle brings x strictly closer, so no support repeats; the cap
-    # only bounds the count
-    for _ in range(10 * len(points)):
-        gaps = x @ x - shifted @ x
-        j = int(np.argmax(gaps))
-        if j in support or gaps[j] <= 1e-13 * math.sqrt(float(x @ x)) * scale:
-            break
-        trial_support, trial_weights = _corral(shifted, np.append(support, j), np.append(weights, 0.0))
-        trial = trial_weights @ shifted[trial_support]
-        if not trial @ trial < x @ x:
-            break
-        support, weights, x = trial_support, trial_weights, trial
-    alpha = np.zeros(len(points))
-    alpha[support] = weights
-    alpha /= alpha.sum()
-    return alpha, float(np.linalg.norm(points.T @ alpha - target))
-
-
 def check_convex_hull(samples: np.ndarray, w: PointSet) -> VerificationReport:
-    """The sample mean is a convex combination of a fixed point's points."""
+    """The sample mean is sum_j p_j y_j, with p_j the share of the samples in y_j's domain.
+
+    A self-consistent set has E X = sum_j P(X in D_j) y_j.  The shares are a
+    point of the probability simplex, so the residual |sum_j p_j y_j - mean|
+    bounds the mean's distance to the points' convex hull from above; as the
+    mean is sum_j p_j mean_j, it is at most the self-consistency residual.
+    Tolerance: 1e-3 times the root of the samples' total variance.
+    """
     samples = np.asarray(samples, dtype=float)
+    shares = assign(samples, w).counts / samples.shape[0]
     mean = samples.mean(axis=0)
-    _, residual = simplex_fit(w.points, mean)
-    trace = float(((samples - mean) ** 2).sum(axis=1).mean())
-    tol = 1e-3 * math.sqrt(trace)
+    residual = float(np.linalg.norm(shares @ w.points - mean))
+    tol = 1e-3 * math.sqrt(float(((samples - mean) ** 2).sum(axis=1).mean()))
     p = {"n": samples.shape[0], "k": w.k}
     return _finish("convex_hull", p, {"simplex_residual": residual}, {"simplex_residual": tol}, MONTE_CARLO, ())
 
@@ -213,18 +158,16 @@ def check_unitary_equivariance(
     return _finish("unitary_equivariance", p, residuals, tolerances, EXACT, ())
 
 
-def check_kernel_orthogonality(
-    samples: np.ndarray, w: PointSet, model: EllipticalModel, tol_kernel: float = 1e-8
-) -> VerificationReport:
+def check_kernel_orthogonality(samples: np.ndarray, w: PointSet, model: EllipticalModel) -> VerificationReport:
     """A fixed point ``w`` of draws of ``model`` carries no weight on the
-    model's zero-eigenvalue coordinates (every entry there at most ``tol_kernel``)."""
+    model's zero-eigenvalue coordinates (every entry there at most 1e-8)."""
     kernel = np.flatnonzero(model.lam == 0.0)
     if kernel.size == 0:
         raise UsageError("model has no zero eigenvalues; nothing to check")
     residual = float(np.abs(w.points[:, kernel]).max())
     p = {"model": model.label(), "n": len(samples), "k": w.k}
     return _finish("kernel_orthogonality", p, {"kernel_magnitude": residual},
-                   {"kernel_magnitude": tol_kernel}, EXACT, ())
+                   {"kernel_magnitude": 1e-8}, EXACT, ())
 
 
 def span_rank(svals: np.ndarray) -> tuple[int, bool]:
@@ -253,7 +196,7 @@ def _has_gap(lam: np.ndarray, q: int = 1) -> bool:
 
 def check_eigen_span(
     samples: np.ndarray, w: PointSet, model: EllipticalModel, q_expected: int,
-    rotation: np.ndarray | None = None, angle_tol: float = 0.1,
+    rotation: np.ndarray | None = None,
 ) -> VerificationReport:
     """Centered fixed points span leading eigendirections.
 
@@ -262,10 +205,10 @@ def check_eigen_span(
     model's eigendirections are the columns of ``rotation``.  The span's
     rank is read off the singular values of the centered point matrix by
     :func:`span_rank` and must equal ``q_expected`` exactly; its principal
-    angles against the top-q eigendirections must stay below
-    ``angle_tol``.  Models whose spectrum falls by less than 1e-3 of its top
-    value after the q-th value, and fixtures where a singular value sits
-    near the rank cutoff, are flagged indeterminate instead of failed.
+    angles against the top-q eigendirections must stay below 0.1.  Models
+    whose spectrum falls by less than 1e-3 of its top value after the q-th
+    value, and fixtures where a singular value sits near the rank cutoff,
+    are flagged indeterminate instead of failed.
     """
     samples = np.asarray(samples, dtype=float)
     p = {"model": model.label(), "n": samples.shape[0], "k": w.k, "q_expected": q_expected}
@@ -282,7 +225,7 @@ def check_eigen_span(
 
     max_angle = float(principal_angles(vt[:rank].T, eigvecs[:, :rank]).max())
     residuals = {"max_angle": max_angle, "rank_deviation": float(abs(rank - q_expected))}
-    tolerances = {"max_angle": angle_tol, "rank_deviation": 0.0}
+    tolerances = {"max_angle": 0.1, "rank_deviation": 0.0}
     return _finish("eigen_span", p, residuals, tolerances, MONTE_CARLO, ())
 
 

@@ -98,23 +98,6 @@ def brute_force_principal_points(
 # bincount sequentially, so the last bit may differ).
 
 
-def reference_simplex_fit(points, target):
-    """Simplex-constrained least squares by SLSQP from uniform weights: (weights, distance)."""
-    k = points.shape[0]
-    res = minimize(
-        lambda a: float((points.T @ a - target) @ (points.T @ a - target)),
-        np.full(k, 1.0 / k),
-        jac=lambda a: 2.0 * points @ (points.T @ a - target),
-        method="SLSQP",
-        bounds=[(0.0, 1.0)] * k,
-        constraints=[{"type": "eq", "fun": lambda a: a.sum() - 1.0, "jac": lambda a: np.ones(k)}],
-        options={"maxiter": 200, "ftol": 1e-18},
-    )
-    alpha = np.clip(res.x, 0.0, None)
-    alpha = alpha / alpha.sum()
-    return alpha, float(np.linalg.norm(points.T @ alpha - target))
-
-
 def reference_sq_distances(samples, points):
     diff = samples[:, None, :] - points[None, :, :]
     return np.einsum("nkd,nkd->nk", diff, diff)

@@ -142,7 +142,7 @@ def test_criterion_5_kernel_orthogonality():
     )
     draws = sample(model, 50_000, seed=5)
     points, _ = lloyd(draws, 3, tol=1e-10, restarts=5, seed=5)
-    report = check_kernel_orthogonality(draws, points, model, tol_kernel=1e-12)
+    report = check_kernel_orthogonality(draws, points, model)
     assert report.passed
     assert report.residuals["kernel_magnitude"] < 1e-12
     ok(5, "all solver points carry < 1e-12 on zero-eigenvalue coordinates")

@@ -562,9 +562,9 @@ print("probe", *sorted(m for m in sys.modules if m.startswith("scipy.")))
 
 
 def test_checks_and_one_dimensional_solves_load_only_scipy_special(tmp_path):
-    # convex_hull fits a simplex, closed-form on a two-point mixture inverts the mixture CDF,
-    # and every 1-d solve makes tridiagonal Newton steps: none of them may load scipy.optimize
-    # or scipy.linalg
+    # convex_hull weights points by domain shares, closed-form on a two-point mixture inverts the
+    # mixture CDF, and every 1-d solve makes tridiagonal Newton steps: none of them may load
+    # scipy.optimize or scipy.linalg
     two_point = dict(MODEL, mixture={"kind": "two_point", "z1": 1.0, "z2": 3.0, "p": 0.3})
     write_config(tmp_path, {"checks": ["convex_hull", "ratio_invariance"], "n": 2000, "seed": 0}, "verify.json")
     write_config(tmp_path, {"model": two_point, "seed": 0}, "closed-form.json")
