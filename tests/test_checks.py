@@ -27,8 +27,11 @@ from funquant import (
     reference_models,
     reference_suite,
     sample,
+    self_consistency_residual,
     univariate_principal_points,
 )
+
+import oracles
 
 
 def gaussian_model(lam, mu=None):
@@ -66,6 +69,41 @@ class TestConvexHull:
         report = check_convex_hull(draws, triangle)
         assert not report.passed
         assert report.residuals["simplex_residual"] > 100 * report.tolerances["simplex_residual"]
+
+    @pytest.mark.parametrize(
+        "points, target, distance",
+        [
+            ([[0.0, 0.0], [2.0, 0.0]], [3.0, 4.0], np.sqrt(17.0)),  # beyond an end of a segment
+            ([[0.0, 0.0], [2.0, 0.0]], [1.0, 4.0], 4.0),  # beside a segment
+            ([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [-1.0, 5.0, 2.0]], [-1.0, 5.0, 2.0], 0.0),  # at a vertex
+            ([[1.0, 1.0], [1.0, 1.0], [3.0, 1.0], [3.0, 1.0]], [2.0, 1.0], 0.0),  # duplicate points
+            ([[1.0, 1.0], [1.0, 1.0], [3.0, 1.0], [3.0, 1.0]], [2.0, 3.0], 2.0),
+            ([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [3.0, 3.0, 3.0], [-1.0, -1.0, -1.0]], [0.5, 0.5, 0.5], 0.0),
+            ([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [3.0, 3.0, 3.0]], [0.0, 0.0, 1.0], np.sqrt(2.0)),  # collinear
+            ([[1.0, 1.0, 1.0]], [0.0, 0.0, 1.0], np.sqrt(2.0)),
+        ],
+        ids=["segment-end", "segment-side", "vertex", "duplicates-inside", "duplicates-outside",
+             "collinear-inside", "collinear-outside", "one-point"],
+    )
+    def test_residual_is_share_weighted_and_bounds_hull_distance(self, points, target, distance):
+        # samples in +-v pairs about the target, so their mean is the target and no row ties two points
+        points, target = np.array(points), np.array(target)
+        v = 2.0 * np.random.default_rng(0).standard_normal((6, target.size))
+        draws = target + np.vstack([v, -v])
+        labels = oracles.reference_sq_distances(draws, points).argmin(axis=1)
+        shares = np.bincount(labels, minlength=len(points)) / len(draws)
+        expected = np.linalg.norm(shares @ points - draws.mean(axis=0))
+        residual = check_convex_hull(draws, PointSet(points)).residuals["simplex_residual"]
+        assert residual == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert residual >= distance - 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_residual_at_most_self_consistency_residual(self, seed):
+        # the mean is sum_j p_j mean_j, so |sum_j p_j (y_j - mean_j)| <= max_j |y_j - mean_j|, fixed point or not
+        draws = sample(gaussian_model([4.0, 1.0]), 2000, seed=seed)
+        points = PointSet(np.random.default_rng(seed).standard_normal((4, 2)))
+        residual = check_convex_hull(draws, points).residuals["simplex_residual"]
+        assert 0.0 < residual <= self_consistency_residual(draws, points)
 
     @pytest.mark.parametrize(
         "bad, error",
