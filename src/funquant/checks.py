@@ -14,9 +14,9 @@ Checks whose preconditions cannot be decided from data (for example span
 comparisons under a nearly degenerate spectrum) come back flagged rather
 than failed.  Every check judges only the draws and model it is handed:
 :func:`reference_suite` alone draws and seeds samples, labels each report
-with its model and seed, and times it.  Importing this module loads no
-part of scipy; the checks reach ``scipy.special`` only through the laws'
-methods (see ``funquant.laws``).
+with its model and seed, and times it.  The checks use no part of
+scipy: their one-dimensional solves go through the laws' own special
+function ports (see ``funquant.laws``).
 """
 
 from __future__ import annotations

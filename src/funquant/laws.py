@@ -14,10 +14,11 @@ from the complementary CDF, so a far upper cell does not round to
 ``1 - 1 = 0``.  The laws of one-dimensional projections of the elliptical
 models in this package are always of one of these forms: a finite mixture
 of centered normals (gaussian / two-point scale mixtures) or a scaled
-Student t.  ``scipy.special`` is imported inside the methods that call
-it, so importing this module loads numpy only; it is the one part of scipy
-the laws use.  The mixture quantile finds its root with ``_brentq``, a port
-of scipy's ``brentq``.
+Student t.  The special functions they need are small ports here, so the
+laws use no part of scipy: the normal CDF from ``math.erfc``, its inverse
+from ``statistics.NormalDist`` (imported on first use), the Student t CDF
+from the continued fraction of the incomplete beta function, and both
+quantiles as roots found by ``_brentq``, a port of scipy's ``brentq``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ import numpy as np
 from .errors import ConfigError, UsageError
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _finite_part(term, x: np.ndarray) -> np.ndarray:
@@ -51,10 +55,13 @@ def _cell_mass(cdf, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     """cdf(xb) - cdf(xa) for a law symmetric about 0.
 
     A cell above 0 uses the upper tail, 1 - cdf(x) = cdf(-x), so its mass
-    keeps full relative precision however far out it lies.
+    keeps full relative precision however far out it lies.  Both bounds
+    go to cdf in one call, so a CDF that takes each distinct |x| once
+    evaluates a bound shared by two cells once.
     """
     flip = np.where(xa > 0, -1.0, 1.0)
-    return flip * (cdf(flip * xb) - cdf(flip * xa))
+    upper, lower = cdf(np.stack(np.broadcast_arrays(flip * xb, flip * xa)))
+    return flip * (upper - lower)
 
 
 def _brentq(f, xpre: float, xcur: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
@@ -102,6 +109,120 @@ def _brentq(f, xpre: float, xcur: float, xtol: float, rtol: float, maxiter: int 
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = f(xcur)
     raise RuntimeError(f"Brent's method did not converge in {maxiter} steps")
+
+
+def _ndtr(z) -> np.ndarray:
+    """Standard normal CDF, erfc(-z / sqrt 2) / 2, element by element.
+
+    ``math.erfc`` keeps full relative precision in the lower tail; rounding
+    the argument adds a relative error that grows like z^2 eps there.
+    """
+    return 0.5 * np.asarray(_erfc(np.asarray(z, dtype=float) * -_SQRT_HALF), dtype=float)
+
+
+def _ndtri(p: float) -> float:
+    """Standard normal quantile (Wichura's AS241, as the standard library has it)."""
+    from statistics import NormalDist
+
+    return NormalDist().inv_cdf(p)
+
+
+def _log_gamma_ratio(a: float) -> float:
+    """log Gamma(a + 1/2) - log Gamma(a).
+
+    From a = 16 on, the two log-gammas are large and nearly equal, so their
+    difference is taken from its asymptotic series instead (DLMF 5.11.8,
+    with B_k(1/2) - B_k = (2^(1-k) - 2) B_k); the first term left out is
+    below 3e-16 there.
+    """
+    if a < 16.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    u = (1.0 / a) ** 2
+    return 0.5 * math.log(a) - (1 / 8 - u * (1 / 192 - u * (1 / 640 - u * (17 / 14336 - u * 31 / 18432)))) / a
+
+
+def _beta_cf(a: float, b: float, x: float, y: float) -> float:
+    """Continued fraction of the incomplete beta function I_x(a, b), with y = 1 - x.
+
+    I_x(a, b) = x^a y^b / (a B(a, b)) times this fraction, which converges
+    fast for x < (a + 1) / (a + b + 2) (Press et al., Numerical Recipes,
+    section 6.4).  The modified Lentz steps are taken in pairs, even then
+    odd, so each pair multiplies the fraction by (e + q) / (e + p), where e
+    is 1 plus the odd coefficient.  For x near 1 and a large, e nearly
+    cancels, so there it is formed from y (every term is positive for
+    b <= 1, as when the t CDF takes this branch).
+    """
+    # factors are ordered so that nothing overflows or underflows, however large a is
+    r = (a + b) / (a + 1.0)
+    h = d = 1.0 / (1.0 - r * x if x < 0.5 else (1.0 - b) / (a + 1.0) + r * y)
+    c = 1.0
+    for m in range(1, 301):
+        n = a + 2 * m
+        r = (a + m) / n * ((a + b + m) / (n + 1.0))
+        if x < 0.5:
+            e = 1.0 - r * x
+        else:
+            e = (2 * m + 1 - b + m * (3 * m + 2 - b) / a) / (n * (1.0 + (2 * m + 1) / a)) + r * y
+        even = m * x * (b - m) / (n - 1.0)  # the even coefficient times n
+        p, q = even * (d / n), even / (c * n)
+        d, c = (1.0 + p) / (e + p), (e + q) / (1.0 + q)
+        step = (e + q) / (e + p)
+        h *= step
+        if abs(step - 1.0) <= 2.3e-16:
+            return h
+    raise RuntimeError(f"incomplete beta continued fraction did not converge at a={a}, b={b}, x={x}")
+
+
+def _t_tail(nu: float, x: float) -> float:
+    """P(T > |x|) for a Student t with nu degrees of freedom.
+
+    That is I_z(nu/2, 1/2) / 2 with z = nu / (nu + x^2).  Past the fraction's
+    switch point, I_z(a, b) = 1 - I_w(b, a) with w = 1 - z.  Both z and w
+    are formed from r = x^2 / nu, and the prefactor is taken in logs with
+    log z = -log1p(r), so neither tail cancels, however large nu is.
+    """
+    r = x * x / nu
+    if math.isnan(r):
+        return math.nan
+    if r == 0.0:  # x = 0, or x^2 negligible beside nu
+        return 0.5
+    if r == math.inf:
+        return 0.0
+    a = 0.5 * nu
+    z, w = 1.0 / (1.0 + r), r / (1.0 + r)
+    front = math.exp(_log_gamma_ratio(a) - _LOG_SQRT_PI + 0.5 * math.log(w) - a * math.log1p(r))
+    if w > 1.5 / (a + 2.5):  # z < (a + 1) / (a + b + 2), tested on w, which keeps its precision
+        return 0.5 * front * _beta_cf(a, 0.5, z, w) / a
+    return 0.5 - front * _beta_cf(0.5, a, w, z)
+
+
+_t_tails = np.frompyfunc(_t_tail, 2, 1)
+
+
+def _stdtr(nu: float, x) -> np.ndarray:
+    """Student t CDF with nu degrees of freedom, element by element, taking the tail once per distinct |x|."""
+    x = np.asarray(x, dtype=float)
+    distinct, at = np.unique(np.abs(x), return_inverse=True)
+    tail = np.asarray(_t_tails(nu, distinct), dtype=float)[at].reshape(x.shape)
+    return np.where(x > 0, 1.0 - tail, tail)
+
+
+def _stdtrit(nu: float, p: float) -> float:
+    """Student t quantile with nu degrees of freedom, 0 < p < 1.
+
+    A lower-tail root lies between the normal quantile and the Cauchy
+    quantile -1 / tan(pi p), since nu > 2 puts the t between the two; an
+    upper level is mirrored.  The root is found in u = log|x| on the tail
+    ratio P(T < -e^u) / p - 1, so Brent's steps stay few and its values
+    stay of order 1 at any level.  Where nu is so large that rounding puts
+    the t CDF at or below p at the normal quantile, that quantile is the root.
+    """
+    lower = min(p, 1.0 - p)
+    q = _ndtri(lower)
+    f = lambda u: _t_tail(nu, math.exp(u)) / lower - 1.0
+    if q < 0.0 and f(math.log(-q)) > 0.0:
+        q = -math.exp(_brentq(f, math.log(-q), -math.log(math.tan(math.pi * lower)), xtol=4e-16, rtol=4e-16))
+    return q if p <= 0.5 else -q
 
 
 def _moments(m0, m1, m2):
@@ -208,19 +329,15 @@ class NormalMixtureLaw(UnivariateLaw):
         return out if np.ndim(y) else float(out)
 
     def cdf(self, y):
-        from scipy import special
-
         z = (np.asarray(y, dtype=float) - self.loc)
-        out = sum(w * special.ndtr(z / s) for w, s in zip(self.weights, self.scales))
+        out = sum(w * _ndtr(z / s) for w, s in zip(self.weights, self.scales))
         return out if np.ndim(y) else float(out)
 
     def quantile(self, p: float) -> float:
-        from scipy import special
-
         if not 0.0 < p < 1.0:
             raise UsageError(f"quantile level must be in (0, 1), got {p}")
         p = float(p)
-        qs = [self.loc + s * float(special.ndtri(p)) for s in self.scales]
+        qs = [self.loc + s * _ndtri(p) for s in self.scales]
         lo, hi = min(qs), max(qs)
         if hi - lo < 1e-300:
             return lo
@@ -232,13 +349,11 @@ class NormalMixtureLaw(UnivariateLaw):
         return self.loc + s * rng.standard_normal(n)
 
     def cell_moments(self, a, b):
-        from scipy import special
-
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         m0 = m1c = m2c = 0.0
         for w, s in zip(self.weights, self.scales):
             za, zb = (a - self.loc) / s, (b - self.loc) / s
-            p = _cell_mass(special.ndtr, za, zb)
+            p = _cell_mass(_ndtr, za, zb)
             c1 = s * (_norm_pdf(za) - _norm_pdf(zb))
             c2 = s * s * (p + _z_phi(za) - _z_phi(zb))
             m0 += w * p
@@ -289,10 +404,8 @@ class StudentTLaw(UnivariateLaw):
         return (-math.inf, math.inf)
 
     def _std_pdf(self, x):
-        from scipy import special
-
         nu = self.nu
-        logc = special.gammaln((nu + 1) / 2) - special.gammaln(nu / 2) - 0.5 * math.log(nu * math.pi)
+        logc = _log_gamma_ratio(nu / 2) - 0.5 * math.log(nu * math.pi)
         return np.exp(logc - 0.5 * (nu + 1) * np.log1p(np.asarray(x, dtype=float) ** 2 / nu))
 
     def pdf(self, y):
@@ -301,18 +414,14 @@ class StudentTLaw(UnivariateLaw):
         return out if np.ndim(y) else float(out)
 
     def cdf(self, y):
-        from scipy import special
-
         x = (np.asarray(y, dtype=float) - self.loc) / self.scale
-        out = special.stdtr(self.nu, x)
+        out = _stdtr(self.nu, x)
         return out if np.ndim(y) else float(out)
 
     def quantile(self, p: float) -> float:
-        from scipy import special
-
         if not 0.0 < p < 1.0:
             raise UsageError(f"quantile level must be in (0, 1), got {p}")
-        return self.loc + self.scale * float(special.stdtrit(self.nu, p))
+        return self.loc + self.scale * _stdtrit(self.nu, float(p))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.loc + self.scale * rng.standard_t(self.nu, size=n)
@@ -326,12 +435,10 @@ class StudentTLaw(UnivariateLaw):
         return _finite_part(lambda x: x * (self.nu + x * x) * self._std_pdf(x) / (2.0 - self.nu), x)
 
     def cell_moments(self, a, b):
-        from scipy import special
-
         nu, s, loc = self.nu, self.scale, self.loc
         xa = (np.asarray(a, dtype=float) - loc) / s
         xb = (np.asarray(b, dtype=float) - loc) / s
-        i0 = _cell_mass(lambda x: special.stdtr(nu, x), xa, xb)
+        i0 = _cell_mass(lambda x: _stdtr(nu, x), xa, xb)
         i1 = self._g1(xa) - self._g1(xb)
         i2 = self._h2(xb) - self._h2(xa) - nu / (2.0 - nu) * i0
         return _moments(i0, loc * i0 + s * i1, loc**2 * i0 + 2.0 * loc * s * i1 + s * s * i2)

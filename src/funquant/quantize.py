@@ -28,9 +28,9 @@ are read.  Memory is O(n k), plus one workspace per ``jobs`` thread (a
 (k, rows) block of at most 8 MiB, a (2, rows) tally, a (rows, d) gather
 buffer, n labels and distances), plus the centered copy and (d, n) column
 copy ``lloyd`` shares and seeds from.  ``_domain_means`` computes every
-domain mean.  Indices are 0-based throughout.  The module itself loads
-numpy only: the one-dimensional solver reaches scipy only through the
-law's own methods (see ``funquant.laws``).
+domain mean.  Indices are 0-based throughout.  The module loads numpy
+only, and so does the one-dimensional solver, through the law's own
+methods (see ``funquant.laws``).
 """
 
 from __future__ import annotations

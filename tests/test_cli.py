@@ -515,14 +515,22 @@ import sys
 import funquant
 from funquant import cli
 
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
 for task in sys.argv[2:]:
     code = cli.main([task, "--config", f"{sys.argv[1]}/{task}.json", "--out", f"{sys.argv[1]}/out_{task}"])
-    print("probe", task, code, *sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    print("probe", task, code, *scipy_modules())
+import scipy.special
+
+print("probe", "witness", 0, *scipy_modules())
 """
 
 
 def test_scipy_free_tasks_do_not_import_scipy(tmp_path):
-    # verify runs last: it is the one task here that needs scipy, so it shows the probe sees imports
+    # no task loads scipy; the probe's own import of scipy.special, after the tasks, shows it sees imports
     report_input = write_config(tmp_path, [{"name": "convex_hull", "params": {}, "passed": True}], "reports.json")
     configs = {
         "simulate": {"model": MODEL, "n": 20, "seed": 0},
@@ -540,42 +548,41 @@ def test_scipy_free_tasks_do_not_import_scipy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     lines = [line.split()[1:] for line in result.stdout.splitlines() if line.startswith("probe ")]
-    assert [line[:2] for line in lines] == [[task, "0"] for task in configs]
+    assert [line[:2] for line in lines] == [[task, "0"] for task in [*configs, "witness"]]
     assert (tmp_path / "out_kmeans" / "point_1.csv").exists()
     for task, _, *scipy_modules in lines[:-1]:
         assert scipy_modules == [], task
     assert "scipy.special" in lines[-1][2:]
 
 
-_SCIPY_SUBPACKAGE_PROBE = """
+_SOLVES_SCIPY_PROBE = """
 import sys
 
 from funquant import ScaleMixture, cli, univariate_principal_points
 
 for task in ("verify", "closed-form"):
     assert cli.main([task, "--config", f"{sys.argv[1]}/{task}.json", "--out", f"{sys.argv[1]}/out_{task}"]) == 0
-law = ScaleMixture.two_point(1.0, 3.0, 0.3).standardized_law()
-for k in (2, 5):
-    univariate_principal_points(law, k)
-print("probe", *sorted(m for m in sys.modules if m.startswith("scipy.")))
+for mixture in (ScaleMixture.two_point(1.0, 3.0, 0.3), ScaleMixture.student_t(5.0)):
+    for k in (2, 5):
+        univariate_principal_points(mixture.standardized_law(), k)
+print("probe", *sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_checks_and_one_dimensional_solves_load_only_scipy_special(tmp_path):
+def test_checks_and_one_dimensional_solves_load_no_scipy(tmp_path):
     # convex_hull weights points by domain shares, closed-form on a two-point mixture inverts the
-    # mixture CDF, and every 1-d solve makes tridiagonal Newton steps: none of them may load
-    # scipy.optimize or scipy.linalg
+    # mixture CDF, and every 1-d solve takes cell moments and makes tridiagonal Newton steps: none
+    # of them may load any part of scipy
     two_point = dict(MODEL, mixture={"kind": "two_point", "z1": 1.0, "z2": 3.0, "p": 0.3})
     write_config(tmp_path, {"checks": ["convex_hull", "ratio_invariance"], "n": 2000, "seed": 0}, "verify.json")
     write_config(tmp_path, {"model": two_point, "seed": 0}, "closed-form.json")
     result = subprocess.run(
-        [sys.executable, "-c", _SCIPY_SUBPACKAGE_PROBE, str(tmp_path)],
+        [sys.executable, "-c", _SOLVES_SCIPY_PROBE, str(tmp_path)],
         capture_output=True, text=True, cwd=Path(__file__).parent.parent,
     )
     assert result.returncode == 0, result.stderr
     (line,) = [line.split()[1:] for line in result.stdout.splitlines() if line.startswith("probe")]
-    assert [m for m in line if m.startswith(("scipy.optimize", "scipy.linalg"))] == []
-    assert "scipy.special" in line
+    assert line == []
 
 
 def test_singularity_maps_to_exit_3(tmp_path, monkeypatch):

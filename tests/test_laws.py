@@ -5,7 +5,7 @@ from scipy.integrate import quad, trapezoid
 from scipy.optimize import brentq
 
 from funquant import ConfigError, NormalMixtureLaw, ScaleMixture, StudentTLaw, UniformLaw, UsageError, normal_law
-from funquant.laws import _brentq
+from funquant.laws import _brentq, _ndtr, _ndtri, _stdtr
 
 from oracles import quantization_objective
 
@@ -110,11 +110,57 @@ def test_mixture_quantile_is_scipys_brent_root_to_the_bit(z2):
     for p in np.linspace(0.05, 0.95, 7):
         law = ScaleMixture.two_point(1.0, float(z2), float(p)).standardized_law()
         for level in levels:
-            lo, hi = sorted(s * float(special.ndtri(level)) for s in law.scales)
+            lo, hi = sorted(s * _ndtri(level) for s in law.scales)
             f = lambda y: law.cdf(y) - level
             expected = brentq(f, lo, hi, xtol=1e-13, rtol=1e-14)
             assert _brentq(f, lo, hi, xtol=1e-13, rtol=1e-14) == expected
             assert law.quantile(level) == expected
+
+
+def test_normal_cdf_port_matches_scipy():
+    # erfc of a rounded argument: the relative error grows like z^2 eps in the lower tail, as scipy's does
+    z = np.linspace(-37.0, 8.0, 4501)
+    np.testing.assert_allclose(_ndtr(z), special.ndtr(z), rtol=1e-12, atol=0.0)
+
+
+def test_normal_quantile_port_matches_scipy():
+    p = np.concatenate((np.geomspace(1e-300, 0.49, 600), np.linspace(0.5, 0.99, 50)))
+    np.testing.assert_allclose([_ndtri(level) for level in p], special.ndtri(p), rtol=2e-15, atol=0.0)
+
+
+_T_ARGS = np.concatenate((-np.geomspace(1e4, 1e-8, 600), [0.0], np.geomspace(1e-8, 1e4, 600)))
+
+
+@pytest.mark.parametrize(
+    "nu, rtol",
+    [(nu, 2e-13) for nu in (2.05, 3.0, 4.0, 5.0, 7.3, 10.0, 30.0, 100.0, 1e3)]
+    # large nu: the t CDF keeps this bound, since both its prefactor and the odd terms of the
+    # continued fraction are formed from x^2 / nu and never from the rounded z = nu / (nu + x^2)
+    + [(1e4, 4e-13), (1e6, 4e-13), (1e9, 4e-13)],
+)
+def test_student_t_cdf_port_matches_scipy_in_both_tails(nu, rtol):
+    # atol: the far lower tail underflows below 1e-300, where no value keeps its relative precision
+    np.testing.assert_allclose(_stdtr(nu, _T_ARGS), special.stdtr(nu, _T_ARGS), rtol=rtol, atol=1e-300)
+
+
+def test_special_function_ports_at_nan_and_infinities():
+    args = np.array([np.nan, -np.inf, np.inf])
+    np.testing.assert_array_equal(_ndtr(args), [np.nan, 0.0, 1.0])
+    for nu in (2.05, 5.0, 1e9):
+        np.testing.assert_array_equal(_stdtr(nu, args), [np.nan, 0.0, 1.0])
+        assert StudentTLaw(nu=nu).cdf(np.nan) != StudentTLaw(nu=nu).cdf(np.nan)
+    assert np.isnan(normal_law().cdf(np.nan))
+
+
+@pytest.mark.parametrize("nu", [2.0001, 5.0, 1e9])
+def test_student_quantile_roots_at_extreme_levels(nu):
+    law = StudentTLaw(nu=nu)
+    assert law.quantile(0.5) == 0.0
+    for p in (1e-300, 1e-12, 0.3, 1.0 - 1e-12):
+        q = law.quantile(p)
+        assert np.isfinite(q) and abs(law.cdf(q) - p) <= 1e-12 * max(p, 1.0 - p), p
+        if p < 0.5:  # the lower tail also holds its relative precision
+            assert abs(law.cdf(q) / p - 1.0) <= 1e-12, p
 
 
 def test_brent_port_fails_where_scipys_brent_fails():

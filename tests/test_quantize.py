@@ -323,6 +323,15 @@ class TestClosedFormTwoPoints:
         )
         np.testing.assert_allclose(points.points[:, 0], oracles.T5_K2, atol=1e-4)
 
+    def test_t_with_huge_nu_matches_gaussian(self):
+        # the t points differ from the gaussian ones by O(1/nu); a density constant or CDF that
+        # loses precision as nu grows would show here
+        t_model = EllipticalModel(mu=np.zeros(2), lam=np.array([4.0, 1.0]), mixture=ScaleMixture.student_t(1e9))
+        np.testing.assert_allclose(
+            closed_form_two_points(t_model).points, closed_form_two_points(gaussian_model([4.0, 1.0])).points,
+            rtol=0.0, atol=1e-8,
+        )
+
     def test_degenerate_model_rejected(self):
         with pytest.raises(DegenerateDirectionError):
             closed_form_two_points(gaussian_model([0.0, 0.0]))
