@@ -337,7 +337,8 @@ class NormalMixtureLaw(UnivariateLaw):
         if not 0.0 < p < 1.0:
             raise UsageError(f"quantile level must be in (0, 1), got {p}")
         p = float(p)
-        qs = [self.loc + s * _ndtri(p) for s in self.scales]
+        z = _ndtri(p)
+        qs = [self.loc + s * z for s in self.scales]
         lo, hi = min(qs), max(qs)
         if hi - lo < 1e-300:
             return lo
