@@ -1,7 +1,7 @@
 """Univariate laws with exact cell moments for one-dimensional quantization.
 
-A law exposes its density, CDF, quantile function, a sampler, and partial
-moments over an interval: ``cell_moments(a, b)`` returns
+A law exposes its density, CDF, quantile function and partial moments
+over an interval: ``cell_moments(a, b)`` returns
 (P(a < Y <= b), E[Y; a < Y <= b], E[Y^2; a < Y <= b]).  Cell moments are
 what the one-dimensional solver needs: conditional means over cells and the
 expected squared distance to a finite point set.  ``a`` and ``b`` may be
@@ -93,12 +93,15 @@ def _brentq(f, xpre: float, xcur: float, xtol: float, rtol: float, maxiter: int 
         if fcur == 0 or abs(sbis) < delta:
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gives +-inf or nan here, and so bisects
+                stry = math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry  # a good short step
             else:
@@ -237,7 +240,6 @@ class UnivariateLaw:
 
     mean: float
     variance: float
-    support: tuple[float, float]
 
     def pdf(self, y):
         raise NotImplementedError
@@ -246,9 +248,6 @@ class UnivariateLaw:
         raise NotImplementedError
 
     def quantile(self, p: float) -> float:
-        raise NotImplementedError
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
     def cell_moments(self, a, b):
@@ -298,15 +297,18 @@ class NormalMixtureLaw(UnivariateLaw):
     def __post_init__(self):
         w = tuple(float(x) for x in self.weights)
         s = tuple(float(x) for x in self.scales)
+        loc = float(self.loc)
         if len(w) != len(s) or not w:
             raise ConfigError("weights and scales must be non-empty and of equal length")
-        if any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-12:
+        if not all(0 <= x <= 1 for x in w) or abs(sum(w) - 1.0) > 1e-12:  # NaN fails every comparison
             raise ConfigError("weights must be nonnegative and sum to 1")
-        if any(x <= 0 for x in s):
-            raise ConfigError("component scales must be positive")
+        if not all(0 < x < math.inf for x in s):
+            raise ConfigError("component scales must be positive and finite")
+        if not math.isfinite(loc):
+            raise ConfigError(f"loc must be finite, got {loc}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "scales", s)
-        object.__setattr__(self, "loc", float(self.loc))
+        object.__setattr__(self, "loc", loc)
 
     @property
     def mean(self) -> float:
@@ -315,10 +317,6 @@ class NormalMixtureLaw(UnivariateLaw):
     @property
     def variance(self) -> float:
         return sum(w * s * s for w, s in zip(self.weights, self.scales))
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (-math.inf, math.inf)
 
     def pdf(self, y):
         z = (np.asarray(y, dtype=float) - self.loc)
@@ -343,11 +341,6 @@ class NormalMixtureLaw(UnivariateLaw):
         if hi - lo < 1e-300:
             return lo
         return _brentq(lambda y: self.cdf(y) - p, lo, hi, xtol=1e-13, rtol=1e-14)
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        idx = rng.choice(len(self.weights), size=n, p=np.asarray(self.weights))
-        s = np.asarray(self.scales)[idx]
-        return self.loc + s * rng.standard_normal(n)
 
     def cell_moments(self, a, b):
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -387,10 +380,12 @@ class StudentTLaw(UnivariateLaw):
     loc: float = 0.0
 
     def __post_init__(self):
-        if not self.nu > 2:
-            raise ConfigError(f"degrees of freedom must exceed 2, got {self.nu}")
-        if not self.scale > 0:
-            raise ConfigError(f"scale must be positive, got {self.scale}")
+        if not 2 < self.nu < math.inf:
+            raise ConfigError(f"degrees of freedom must be finite and exceed 2, got {self.nu}")
+        if not 0 < self.scale < math.inf:
+            raise ConfigError(f"scale must be positive and finite, got {self.scale}")
+        if not math.isfinite(self.loc):
+            raise ConfigError(f"loc must be finite, got {self.loc}")
 
     @property
     def mean(self) -> float:
@@ -399,10 +394,6 @@ class StudentTLaw(UnivariateLaw):
     @property
     def variance(self) -> float:
         return self.scale**2 * self.nu / (self.nu - 2.0)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (-math.inf, math.inf)
 
     def _std_pdf(self, x):
         nu = self.nu
@@ -423,9 +414,6 @@ class StudentTLaw(UnivariateLaw):
         if not 0.0 < p < 1.0:
             raise UsageError(f"quantile level must be in (0, 1), got {p}")
         return self.loc + self.scale * _stdtrit(self.nu, float(p))
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.loc + self.scale * rng.standard_t(self.nu, size=n)
 
     def _g1(self, x):
         # antiderivative of t f(t): -(nu + x^2) f(x) / (nu - 1)
@@ -458,8 +446,8 @@ class UniformLaw(UnivariateLaw):
     hi: float
 
     def __post_init__(self):
-        if not self.hi > self.lo:
-            raise ConfigError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise ConfigError(f"need finite lo < hi, got [{self.lo}, {self.hi}]")
 
     @property
     def mean(self) -> float:
@@ -468,10 +456,6 @@ class UniformLaw(UnivariateLaw):
     @property
     def variance(self) -> float:
         return (self.hi - self.lo) ** 2 / 12.0
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
 
     def pdf(self, y):
         y = np.asarray(y, dtype=float)
@@ -487,9 +471,6 @@ class UniformLaw(UnivariateLaw):
         if not 0.0 <= p <= 1.0:
             raise UsageError(f"quantile level must be in [0, 1], got {p}")
         return self.lo + p * (self.hi - self.lo)
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi, size=n)
 
     def cell_moments(self, a, b):
         a = np.maximum(np.asarray(a, dtype=float), self.lo)

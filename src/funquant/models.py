@@ -15,6 +15,7 @@ coefficients xi.  Runs are reproducible bit-for-bit from the seed alone.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -43,11 +44,11 @@ class ScaleMixture:
     """The law of the positive scale variable Z.
 
     ``gaussian`` is Z == 1, ``student_t`` is Z = sqrt(nu / chi2_nu) with
-    nu > 2 (so second moments exist), ``two_point`` takes the value z1 with
-    probability p and z2 otherwise.  Zero values are admitted for the
-    two-point kind (the sampler degenerates gracefully) but such mixtures
-    have no projection density.  The parameters of each kind are listed
-    once, in ``_PARAMETERS``, which construction, ``to_dict`` and
+    finite nu > 2 (so second moments exist), ``two_point`` takes the finite
+    value z1 with probability p and z2 otherwise.  Zero values are admitted
+    for the two-point kind (the sampler degenerates gracefully) but such
+    mixtures have no projection density.  The parameters of each kind are
+    listed once, in ``_PARAMETERS``, which construction, ``to_dict`` and
     ``from_dict`` all read.
     """
 
@@ -63,11 +64,11 @@ class ScaleMixture:
         for name in _PARAMETERS[self.kind]:
             if getattr(self, name) is None:
                 raise ConfigError(f"{self.kind} mixture needs {name}")
-        if self.kind == STUDENT_T and not self.nu > 2:
-            raise ConfigError(f"student_t mixture needs nu > 2, got {self.nu!r}")
+        if self.kind == STUDENT_T and not 2 < self.nu < math.inf:
+            raise ConfigError(f"student_t mixture needs finite nu > 2, got {self.nu!r}")
         if self.kind == TWO_POINT:
-            if self.z1 < 0 or self.z2 < 0:
-                raise ConfigError("two_point values must be nonnegative")
+            if not (0 <= self.z1 < math.inf and 0 <= self.z2 < math.inf):
+                raise ConfigError("two_point values must be nonnegative and finite")
             if not 0.0 <= self.p <= 1.0:
                 raise ConfigError(f"two_point probability must be in [0, 1], got {self.p}")
 
@@ -163,6 +164,8 @@ class EllipticalModel:
             raise ConfigError(f"mu and lambda disagree in length: {mu.shape[0]} vs {lam.shape[0]}")
         if lam.size < 1:
             raise ConfigError("model dimension must be >= 1")
+        if not (np.isfinite(mu).all() and np.isfinite(lam).all()):
+            raise ConfigError("mu and lambda must be finite")
         if np.any(np.diff(lam) > 0):
             raise ConfigError("lambda must be non-increasing")
         if lam[-1] < 0:

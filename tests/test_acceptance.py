@@ -154,13 +154,13 @@ def test_criterion_6_conditional_mean_linearity():
         rotated = SubspaceSplit(u_basis=random_orthogonal(2, seed=6)[:1])
         report = check_conditional_linearity(sample(model, 200_000, 6), model, rotated)
         assert report.passed
-        assert report.residuals["slope_rel_frobenius"] < 0.05
+        assert report.residuals["slope_max_z"] < 4.0
 
         aligned = SubspaceSplit(u_basis=np.eye(2)[:1])
         report = check_conditional_linearity(sample(model, 200_000, 16), model, aligned)
         assert report.passed
         assert report.residuals["slope_max_z"] < 4.0
-    ok(6, "regression slope matches the analytic operator (5% rotated, 4 SE aligned)")
+    ok(6, "regression slope matches the analytic operator within 4 SE (rotated and aligned)")
 
 
 def test_criterion_7_scale_ratio_invariance():

@@ -274,7 +274,25 @@ class TestConditionalLinearity:
         split = SubspaceSplit(u_basis=random_orthogonal(2, seed=22)[:1])
         report = check_conditional_linearity(sample(model, 200_000, 22), model, split)
         assert report.passed
-        assert report.residuals["slope_rel_frobenius"] < 0.05
+        assert report.residuals["slope_max_z"] < 4.0
+
+    @pytest.mark.parametrize("seed", [1, 15, 29])
+    def test_suite_passes_where_a_relative_slope_bound_failed(self, seed):
+        # here a correct slope sits 1.8-2.4 standard errors off, and more than 5% of |B| off: the
+        # split drawn at seed 15 gives |B| = 0.036, against a standard error of about 0.0045
+        reports = reference_suite(seed=seed, checks=["conditional_linearity"])
+        assert len(reports) == 4
+        assert all(r.passed for r in reports), [(r.params["model"], r.residuals) for r in reports]
+
+    def test_suite_fails_a_slope_off_by_ten_percent(self, monkeypatch):
+        import funquant.checks
+
+        true_slope = funquant.checks.conditional_slope
+        monkeypatch.setattr(funquant.checks, "conditional_slope", lambda m, s: 1.1 * true_slope(m, s))
+        reports = {r.params["model"]: r for r in reference_suite(seed=0, checks=["conditional_linearity"])}
+        for label in ("gaussian|lam=(4,1,0.25)", "t5|lam=(4,1,0.25)"):
+            assert not reports[label].passed
+            assert reports[label].residuals["slope_max_z"] > 4.0
 
 
 class TestRatioInvariance:
@@ -342,7 +360,7 @@ class TestRecordedTolerances:
         assert aligned.tolerances == {"slope_max_z": 4.0, "binned_mean_max_z": 4.0}
         rotated = SubspaceSplit(u_basis=random_orthogonal(3, seed=40)[:1])
         report = check_conditional_linearity(sample(model, 2000, 40), model, rotated)
-        assert report.tolerances == {"slope_rel_frobenius": 0.05, "binned_mean_max_z": 4.0}
+        assert report.tolerances == {"slope_max_z": 4.0, "binned_mean_max_z": 4.0}
 
     def test_mse_identity(self):
         model = gaussian_model([4.0, 1.0])
@@ -601,19 +619,9 @@ def test_convex_hull_residual_tiny_even_for_shifted_mean():
 
 
 def test_monte_carlo_residuals_shrink_with_n():
-    # doubling the sample size must not worsen any Monte Carlo check's
-    # median residual over 10 seeds
-    model = gaussian_model([2.0, 1.0])
-    split = SubspaceSplit(u_basis=random_orthogonal(2, seed=30)[:1])
-
-    def linearity_median(n):
-        return np.median([
-            check_conditional_linearity(sample(model, n, 100 + s), model, split).residuals[
-                "slope_rel_frobenius"
-            ]
-            for s in range(10)
-        ])
-
+    # doubling the sample size must not worsen a Monte Carlo check's median
+    # residual over 10 seeds (conditional_linearity's residuals are z-scores,
+    # whose spread does not shrink with n)
     def span_median(n):
         wide = gaussian_model([4.0, 1.0])
         return np.median([
@@ -633,7 +641,6 @@ def test_monte_carlo_residuals_shrink_with_n():
             for s in range(10)
         ])
 
-    assert linearity_median(8000) <= linearity_median(4000)
     assert span_median(8000) <= span_median(4000)
     assert identity_median(8000) <= identity_median(4000)
 

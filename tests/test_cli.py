@@ -178,14 +178,17 @@ class TestVerify:
         payload = json.loads((out1 / "verification.json").read_text())
         assert all("runtime" not in rec for rec in payload)
 
-    def test_failing_check_exits_nonzero(self, tmp_path):
-        # 60 samples cannot pin a regression slope to 5 percent
+    def test_failing_check_exits_nonzero(self, tmp_path, capsys, monkeypatch):
+        # a wrong analytic slope: suite rows look conditional_slope up when they run
+        import funquant.checks
+
+        true_slope = funquant.checks.conditional_slope
+        monkeypatch.setattr(funquant.checks, "conditional_slope", lambda m, s: true_slope(m, s) + 0.5)
         cfg = write_config(
-            tmp_path, {"task": "verify", "checks": ["conditional_linearity"], "n": 60, "seed": 9}
+            tmp_path, {"task": "verify", "checks": ["conditional_linearity"], "n": 5000, "seed": 9}
         )
-        result = run_cli("verify", "--config", str(cfg), "--out", str(tmp_path / "v"))
-        assert result.returncode == 1
-        assert "[FAIL]" in result.stdout
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 1
+        assert any(line.startswith("[FAIL]") for line in capsys.readouterr().out.splitlines())
 
     def test_console_names_the_law_of_each_law_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"task": "verify", "checks": ["ratio_invariance"], "n": 3})

@@ -19,21 +19,22 @@ LAWS = {
 }
 
 
-def integration_window(law):
-    """A finite window carrying all but ~1e-10 of the law's mass."""
-    lo, hi = law.support
-    sd = np.sqrt(law.variance)
-    if not np.isfinite(lo):
-        lo = min(law.mean - 10.0 * sd, law.quantile(1e-10))
-    if not np.isfinite(hi):
-        hi = max(law.mean + 10.0 * sd, law.quantile(1.0 - 1e-10))
-    return lo, hi
+# Finite windows carrying all but ~1e-10 of each law's mass: at least 10 sd and the
+# 1e-10 quantiles on both sides of the mean, or the support of a bounded law.
+WINDOWS = {
+    "normal": (-10.0, 10.0),
+    "shifted_normal": (-5.5, 8.5),
+    "two_scale_mixture": (-26.0, 26.0),
+    "t5": (-157.0, 157.0),
+    "t5_scaled": (-315.0, 313.0),
+    "uniform": (0.0, 1.0),
+}
 
 
 @pytest.mark.parametrize("name", LAWS)
 def test_density_integrates_to_one_on_quadrature_grid(name):
     law = LAWS[name]
-    grid = np.linspace(*integration_window(law), 4001)
+    grid = np.linspace(*WINDOWS[name], 4001)
     assert abs(trapezoid(law.pdf(grid), grid) - 1.0) < 1e-6
 
 
@@ -42,7 +43,7 @@ def test_cell_moments_match_adaptive_quadrature(name):
     law = LAWS[name]
     sd = np.sqrt(law.variance)
     intervals = [(-np.inf, np.inf), (-0.3 * sd, np.inf), (-np.inf, 0.8 * sd), (-1.2 * sd, 2.1 * sd)]
-    support_lo, support_hi = law.support
+    support_lo, support_hi = WINDOWS[name] if name == "uniform" else (-np.inf, np.inf)
     for a, b in intervals:
         qa, qb = max(a, support_lo), min(b, support_hi)
         expected = [
@@ -106,7 +107,8 @@ def test_quantile_inverts_cdf(name):
 
 @pytest.mark.parametrize("z2", np.linspace(1.05, 5.0, 6))
 def test_mixture_quantile_is_scipys_brent_root_to_the_bit(z2):
-    levels = [1e-10, 1e-6, 1e-3, 0.02, 0.25, 0.5, 0.75, 0.98, 1 - 1e-3, 1 - 1e-6, 1 - 1e-10]
+    # at 1e-300 and 1e-200, cdf(y) - level underflows and some steps divide by an exact 0.0
+    levels = [1e-300, 1e-200, 1e-10, 1e-6, 1e-3, 0.02, 0.25, 0.5, 0.75, 0.98, 1 - 1e-3, 1 - 1e-6, 1 - 1e-10]
     for p in np.linspace(0.05, 0.95, 7):
         law = ScaleMixture.two_point(1.0, float(z2), float(p)).standardized_law()
         for level in levels:
@@ -189,7 +191,7 @@ def test_scaled_by_zero_rejected():
 @pytest.mark.parametrize("name", ["normal", "two_scale_mixture", "t5", "uniform"])
 def test_expected_sq_distance_matches_quadrature_oracle(name):
     law = LAWS[name]
-    lo, hi = integration_window(law)
+    lo, hi = WINDOWS[name]
     inf_tails = name.startswith("t")
     core = (-30.0, 30.0) if inf_tails else (lo, hi)
     for points in ([0.0], [-1.0, 0.5], [-2.0, -0.1, 1.7]):
@@ -198,16 +200,6 @@ def test_expected_sq_distance_matches_quadrature_oracle(name):
             max_panel=0.2 if name == "uniform" else 1.0,
         )
         assert law.expected_sq_distance(points) == pytest.approx(expected, rel=1e-9, abs=1e-12)
-
-
-@pytest.mark.parametrize("name", LAWS)
-def test_sampler_moments(name):
-    law = LAWS[name]
-    rng = np.random.default_rng(123)
-    draws = law.sample(200_000, rng)
-    se_mean = np.sqrt(law.variance / draws.size)
-    assert abs(draws.mean() - law.mean) < 5 * se_mean
-    assert abs(draws.var() / law.variance - 1.0) < 0.05
 
 
 @pytest.mark.parametrize(

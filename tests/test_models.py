@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from funquant import (
     ConfigError,
@@ -11,6 +12,7 @@ from funquant import (
     SingularityError,
     StudentTLaw,
     SubspaceSplit,
+    UniformLaw,
     UsageError,
     conditional_mean,
     conditional_slope,
@@ -112,6 +114,30 @@ class TestScaleMixture:
     def test_degenerate_two_point_has_no_density(self):
         with pytest.raises(UsageError):
             ScaleMixture.two_point(0.0, 1.0, 0.5).projection_law(1.0)
+
+
+NON_FINITE = {
+    "model_lambda_nan": lambda: model([np.nan, 1.0]),
+    "model_mu_inf": lambda: model([1.0, 1.0], mu=[np.inf, 0.0]),
+    "student_t_nu_inf": lambda: ScaleMixture.student_t(np.inf),
+    "two_point_z1_nan": lambda: ScaleMixture.two_point(np.nan, 1.0, 0.5),
+    "two_point_z2_inf": lambda: ScaleMixture.two_point(1.0, np.inf, 0.5),
+    "mixture_law_weight_nan": lambda: NormalMixtureLaw(weights=(np.nan, 1.0), scales=(1.0, 2.0)),
+    "mixture_law_scale_nan": lambda: NormalMixtureLaw(weights=(1.0,), scales=(np.nan,)),
+    "mixture_law_scale_inf": lambda: NormalMixtureLaw(weights=(1.0,), scales=(np.inf,)),
+    "mixture_law_loc_nan": lambda: NormalMixtureLaw(weights=(1.0,), scales=(1.0,), loc=np.nan),
+    "student_law_nu_inf": lambda: StudentTLaw(nu=np.inf),
+    "student_law_scale_inf": lambda: StudentTLaw(nu=5.0, scale=np.inf),
+    "student_law_loc_nan": lambda: StudentTLaw(nu=5.0, loc=np.nan),
+    "uniform_law_hi_inf": lambda: UniformLaw(0.0, np.inf),
+}
+
+
+@pytest.mark.parametrize("name", NON_FINITE)
+def test_library_constructors_reject_non_finite_parameters(name):
+    # built, each would sample NaN rows or report a NaN or infinite moment
+    with pytest.raises(ConfigError):
+        NON_FINITE[name]()
 
 
 class TestCovarianceOperator:
@@ -296,11 +322,16 @@ class TestStandardizedProjection:
     def test_t5_sample_kurtosis(self):
         m = model([1.0], ScaleMixture.student_t(5.0))
         law = standardized_projection(m, np.array([1.0]))
-        # kurtosis of a t5 sample is itself heavy tailed (no 8th moments),
-        # so this Monte Carlo check runs at a frozen seed
-        draws = law.sample(1_000_000, np.random.default_rng(10))
-        kurtosis = np.mean(draws**4) / np.mean(draws**2) ** 2
-        assert abs(kurtosis / 9.0 - 1.0) < 0.05
+        draws = sample(m, 1_000_000, 10)[:, 0] / np.sqrt(m.mixture.second_moment())
+        # a t5 has no 8th moment, so the raw sample kurtosis has no standard
+        # error (at this n it reads a median 8.0 over seeds, against 9): the
+        # fourth moment is judged on |x| <= 10, and the mass beyond on its own
+        cut = 10.0
+        inner = np.where(np.abs(draws) <= cut, draws**4, 0.0)
+        expected = quad(lambda y: y**4 * law.pdf(y), -cut, cut, points=[0.0], limit=200)[0]
+        assert abs(inner.mean() - expected) < 4.0 * inner.std() / np.sqrt(draws.size)
+        tail = 2.0 * law.cdf(-cut)
+        assert abs(np.mean(np.abs(draws) > cut) - tail) < 4.0 * np.sqrt(tail * (1.0 - tail) / draws.size)
         # the standardized law's quantiles are well behaved; cross-check one
         assert np.quantile(draws, 0.95) == pytest.approx(law.quantile(0.95), rel=0.01)
 
