@@ -280,6 +280,8 @@ def check_conditional_linearity(
     so the bound follows the sampling noise at any n and any split.  The
     means over 10 quantile bins of the first subspace coordinate must each
     sit within 4 standard errors of the line (bins under 10 draws skipped).
+    When every bin is skipped, as below 100 draws, the binned residual is
+    left out and the report is flagged ``too-few-draws``, not passed.
     """
     slope = conditional_slope(model, split)
     samples = np.asarray(samples, dtype=float)
@@ -306,7 +308,7 @@ def check_conditional_linearity(
     mu2 = split.complement @ model.mu
     bins = 10
     edges = np.quantile(w1[:, 0], np.linspace(0.0, 1.0, bins + 1))
-    max_z = 0.0
+    bin_z = []
     for b in range(bins):
         lo, hi = edges[b], edges[b + 1]
         mask = (w1[:, 0] >= lo) & (w1[:, 0] <= hi if b == bins - 1 else w1[:, 0] < hi)
@@ -316,12 +318,14 @@ def check_conditional_linearity(
         pred = mu2 + slope @ (w1[mask].mean(axis=0) - mu1)
         observed = w2[mask].mean(axis=0)
         bin_se = w2[mask].std(axis=0, ddof=1) / math.sqrt(count)
-        max_z = max(max_z, float(np.max(np.abs(observed - pred) / bin_se)))
-    residuals["binned_mean_max_z"] = max_z
-    tolerances["binned_mean_max_z"] = 4.0
+        bin_z.append(float(np.max(np.abs(observed - pred) / bin_se)))
+    if bin_z:
+        residuals["binned_mean_max_z"] = max(bin_z)
+        tolerances["binned_mean_max_z"] = 4.0
 
     p = {"model": model.label(), "n": samples.shape[0], "q": split.q}
-    return _finish("conditional_linearity", p, residuals, tolerances, MONTE_CARLO, ())
+    flags = () if bin_z else ("too-few-draws",)
+    return _finish("conditional_linearity", p, residuals, tolerances, MONTE_CARLO, flags)
 
 
 def check_ratio_invariance(law: UnivariateLaw, rhos, k: int, label: str = "") -> VerificationReport:

@@ -1,11 +1,14 @@
 """Univariate laws with exact cell moments for one-dimensional quantization.
 
-A law exposes its density, CDF, quantile function and partial moments
-over an interval: ``cell_moments(a, b)`` returns
-(P(a < Y <= b), E[Y; a < Y <= b], E[Y^2; a < Y <= b]).  Cell moments are
-what the one-dimensional solver needs: conditional means over cells and the
-expected squared distance to a finite point set.  ``a`` and ``b`` may be
-arrays of bounds, so one call gives the moments of every cell.
+A law exposes its density, CDF and partial moments over an interval:
+``cell_moments(a, b)`` returns
+(P(a < Y <= b), E[Y; a < Y <= b], E[Y^2; a < Y <= b]).  ``a`` and ``b``
+may be arrays of bounds, so one call gives the moments of every cell.
+Cell moments, with the density for Newton's Hessian, are what the
+one-dimensional solver needs: its start merges the cells of a fixed grid
+of at most 1,000 cells into the best k runs, its steps take conditional
+means over cells, and the expected squared distance to a finite point set
+is a sum over cells.
 
 Gaussian and Student components use closed-form antiderivatives instead of
 numeric quadrature, so the solver's cell means carry no integration error.
@@ -15,10 +18,8 @@ from the complementary CDF, so a far upper cell does not round to
 models in this package are always of one of these forms: a finite mixture
 of centered normals (gaussian / two-point scale mixtures) or a scaled
 Student t.  The special functions they need are small ports here, so the
-laws use no part of scipy: the normal CDF from ``math.erfc``, its inverse
-from ``statistics.NormalDist`` (imported on first use), the Student t CDF
-from the continued fraction of the incomplete beta function, and both
-quantiles as roots found by ``_brentq``, a port of scipy's ``brentq``.
+laws use no part of scipy: the normal CDF from ``math.erfc`` and the
+Student t CDF from the continued fraction of the incomplete beta function.
 """
 
 from __future__ import annotations
@@ -64,56 +65,6 @@ def _cell_mass(cdf, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return flip * (upper - lower)
 
 
-def _brentq(f, xpre: float, xcur: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
-    """A root of f between xpre and xcur by Brent's method (Brent 1973, ch. 4).
-
-    A port of scipy's ``brentq`` (its C ``Zeros/brentq.c``) that makes the
-    same steps in the same order, so it returns the same float.  It stops
-    once the bracket is narrower than xtol + rtol |x|.  f must change sign
-    on the bracket (ValueError otherwise); RuntimeError if maxiter steps do
-    not reach the tolerance.
-    """
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # C gives +-inf or nan here, and so bisects
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # a good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError(f"Brent's method did not converge in {maxiter} steps")
-
-
 def _ndtr(z) -> np.ndarray:
     """Standard normal CDF, erfc(-z / sqrt 2) / 2, element by element.
 
@@ -121,13 +72,6 @@ def _ndtr(z) -> np.ndarray:
     the argument adds a relative error that grows like z^2 eps there.
     """
     return 0.5 * np.asarray(_erfc(np.asarray(z, dtype=float) * -_SQRT_HALF), dtype=float)
-
-
-def _ndtri(p: float) -> float:
-    """Standard normal quantile (Wichura's AS241, as the standard library has it)."""
-    from statistics import NormalDist
-
-    return NormalDist().inv_cdf(p)
 
 
 def _log_gamma_ratio(a: float) -> float:
@@ -210,24 +154,6 @@ def _stdtr(nu: float, x) -> np.ndarray:
     return np.where(x > 0, 1.0 - tail, tail)
 
 
-def _stdtrit(nu: float, p: float) -> float:
-    """Student t quantile with nu degrees of freedom, 0 < p < 1.
-
-    A lower-tail root lies between the normal quantile and the Cauchy
-    quantile -1 / tan(pi p), since nu > 2 puts the t between the two; an
-    upper level is mirrored.  The root is found in u = log|x| on the tail
-    ratio P(T < -e^u) / p - 1, so Brent's steps stay few and its values
-    stay of order 1 at any level.  Where nu is so large that rounding puts
-    the t CDF at or below p at the normal quantile, that quantile is the root.
-    """
-    lower = min(p, 1.0 - p)
-    q = _ndtri(lower)
-    f = lambda u: _t_tail(nu, math.exp(u)) / lower - 1.0
-    if q < 0.0 and f(math.log(-q)) > 0.0:
-        q = -math.exp(_brentq(f, math.log(-q), -math.log(math.tan(math.pi * lower)), xtol=4e-16, rtol=4e-16))
-    return q if p <= 0.5 else -q
-
-
 def _moments(m0, m1, m2):
     """Cell moments as Python floats for scalar bounds, as arrays otherwise."""
     if np.ndim(m0) == 0:
@@ -236,7 +162,14 @@ def _moments(m0, m1, m2):
 
 
 class UnivariateLaw:
-    """Interface shared by the concrete laws below."""
+    """Interface shared by the concrete laws below.
+
+    The one-dimensional solver reads ``mean``, ``variance``, ``pdf`` and
+    ``cell_moments`` only.  Its start takes, in one call, the moments of a
+    grid of 20 cells a point (at most 1,000, so k <= 500) whose finite
+    bounds reach 40 standard deviations from the mean; each Newton step
+    takes those of its k cells.
+    """
 
     mean: float
     variance: float
@@ -245,9 +178,6 @@ class UnivariateLaw:
         raise NotImplementedError
 
     def cdf(self, y):
-        raise NotImplementedError
-
-    def quantile(self, p: float) -> float:
         raise NotImplementedError
 
     def cell_moments(self, a, b):
@@ -331,17 +261,6 @@ class NormalMixtureLaw(UnivariateLaw):
         out = sum(w * _ndtr(z / s) for w, s in zip(self.weights, self.scales))
         return out if np.ndim(y) else float(out)
 
-    def quantile(self, p: float) -> float:
-        if not 0.0 < p < 1.0:
-            raise UsageError(f"quantile level must be in (0, 1), got {p}")
-        p = float(p)
-        z = _ndtri(p)
-        qs = [self.loc + s * z for s in self.scales]
-        lo, hi = min(qs), max(qs)
-        if hi - lo < 1e-300:
-            return lo
-        return _brentq(lambda y: self.cdf(y) - p, lo, hi, xtol=1e-13, rtol=1e-14)
-
     def cell_moments(self, a, b):
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         m0 = m1c = m2c = 0.0
@@ -410,11 +329,6 @@ class StudentTLaw(UnivariateLaw):
         out = _stdtr(self.nu, x)
         return out if np.ndim(y) else float(out)
 
-    def quantile(self, p: float) -> float:
-        if not 0.0 < p < 1.0:
-            raise UsageError(f"quantile level must be in (0, 1), got {p}")
-        return self.loc + self.scale * _stdtrit(self.nu, float(p))
-
     def _g1(self, x):
         # antiderivative of t f(t): -(nu + x^2) f(x) / (nu - 1)
         return _finite_part(lambda x: (self.nu + x * x) * self._std_pdf(x) / (self.nu - 1.0), x)
@@ -466,11 +380,6 @@ class UniformLaw(UnivariateLaw):
         y = np.asarray(y, dtype=float)
         out = np.clip((y - self.lo) / (self.hi - self.lo), 0.0, 1.0)
         return out if out.ndim else float(out)
-
-    def quantile(self, p: float) -> float:
-        if not 0.0 <= p <= 1.0:
-            raise UsageError(f"quantile level must be in [0, 1], got {p}")
-        return self.lo + p * (self.hi - self.lo)
 
     def cell_moments(self, a, b):
         a = np.maximum(np.asarray(a, dtype=float), self.lo)

@@ -5,7 +5,9 @@ sample matrices, with k-means++ style seeding, multiple restarts and
 farthest-point re-seeding of empty domains.  ``univariate_principal_points``
 is the one-dimensional solver driven by exact cell moments of a law, used
 both for the closed-form two-point solution along the leading
-eigendirection and for the scale-free quantization constant ``g``.  It makes
+eigendirection and for the scale-free quantization constant ``g``.  Its one
+start is the best quantizer whose cells are runs of a fixed grid's cells,
+found by dynamic programming (``_grid_cuts``).  From there it makes
 Newton steps on the expected squared distance: one array ``cell_moments``
 call gives every cell's mass and moments, and the Hessian is tridiagonal,
 so each step is one L D L^T solve (``_solve_tridiagonal``) and the
@@ -406,51 +408,108 @@ def _solver_step(law: UnivariateLaw, y: np.ndarray) -> np.ndarray:
     return np.divide(m1, m0, out=y.copy(), where=m0 > 1e-300)
 
 
+# The start's grid: cells per point, the most cells (so its cost matrix stays near 8 MB), the
+# reach of its finite bounds in standard deviations, and the elements of one block of its work.
+_GRID_CELLS_PER_POINT = 20
+_GRID_MAX_CELLS = 1000
+_GRID_REACH_SD = 40.0
+_GRID_BLOCK = 4096
+
+
+def _grid_cuts(m0: np.ndarray, m1: np.ndarray, m2: np.ndarray, k: int) -> np.ndarray:
+    """The cuts of m ordered cells into k runs of adjacent cells with the least total cost.
+
+    A run's cost is its squared distance to its own mean, S2 - S1^2 / S0 in
+    the sums of its cells' moments (taken from prefix sums), and a run with
+    no mass costs inf, so no run is ever empty.  The least total is a
+    shortest path (Wang and Song 2011, Ckmeans.1d.dp), found by k - 1
+    min-plus layers over the (m + 1, m + 1) cost matrix, ties to the lowest
+    cut.  The cost is Monge, so a layer's best last cut never falls as the
+    run's end moves right, and each block of ends searches only the cuts
+    from the previous end's best on.  The matrix and each layer are built in
+    blocks of at most ``_GRID_BLOCK`` elements.  Returns the k + 1 cuts, 0 first and m last;
+    run j is cells cuts[j] to cuts[j + 1] - 1.  UsageError when fewer than k
+    cells add to the prefix sum of the masses.
+    """
+    m = m0.size
+    p0, p1, p2 = (np.concatenate(([0.0], np.cumsum(x))) for x in (m0, m1, m2))
+    # each run needs a rise of p0, and k rises let k runs each take one
+    if np.count_nonzero(np.diff(p0)) < k:
+        raise UsageError(f"k={k} points need k grid cells with mass; the law has mass in {np.count_nonzero(m0)}")
+    cost = np.empty((m + 1, m + 1))
+    rows = max(1, _GRID_BLOCK // (m + 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(0, m + 1, rows):
+            s0 = p0 - p0[i:i + rows, None]  # at most 0 where j <= i, as p0 never falls
+            s1 = p1 - p1[i:i + rows, None]
+            cost[i:i + rows] = np.where(s0 > 0.0, p2 - p2[i:i + rows, None] - s1 * s1 / s0, np.inf)
+    best = cost[0]  # best[j]: the least cost of cells 0 to j - 1 in the runs so far
+    back = np.empty((k - 1, m + 1), dtype=np.intp)
+    for layer in back:
+        new = np.empty(m + 1)
+        j = low = 0
+        while j <= m:
+            # ends j to j + width - 1 take cuts from low, the best of end j - 1, with (span + width) width
+            # elements at most _GRID_BLOCK
+            span = j - low
+            width = max(1, int((np.sqrt(span * span + 4 * _GRID_BLOCK) - span) / 2))
+            total = best[low:j + width, None] + cost[low:j + width, j:j + width]
+            at = total.argmin(axis=0)
+            layer[j:j + width] = low + at
+            new[j:j + width] = total[at, np.arange(at.size)]
+            low += int(at[-1])
+            j += width
+        best = new
+    cuts = [m]
+    for layer in back[::-1]:
+        cuts.append(int(layer[cuts[-1]]))
+    return np.array([0] + cuts[::-1])
+
+
 def univariate_principal_points(law: UnivariateLaw, k: int) -> np.ndarray:
     """Best k-point quantizer of a one-dimensional law, by Newton's method.
 
     Cell boundaries are midpoints of adjacent points, and at the solution
-    each point is its cell's conditional mean (self-consistency).  Each
-    iteration takes the moments of all k cells from the law's exact cell
-    moments in one array call and makes a Newton step on the expected
-    squared distance, whose Hessian is tridiagonal (Pages and Printems
-    2003), so the iteration converges quadratically.  Where the Hessian is
-    not positive definite, or the step would break the points' order, the
-    iteration makes one Lloyd-Max step instead (each point to its cell
-    mean; a cell with mass below 1e-300 keeps its point).  Iteration stops
-    when no point moves by 1e-12 standard deviations or more, or after
-    500 steps.  Several deterministic quantile-spread starts are run and
-    the one with the lowest expected squared distance wins.
+    each point is its cell's conditional mean (self-consistency).  The
+    start is the best k-point quantizer whose cells are runs of a fixed
+    grid's cells, each point its run's mean (``_grid_cuts``).  The grid has
+    20 cells a point, at most 1,000, so k may not exceed 500.  Its finite
+    bounds are mean + sd sinh(t) at even steps of t in [-asinh 40, asinh 40],
+    dense near the mean and reaching 40 sd; its two end cells are infinite,
+    and its moments come from one array call.  Each iteration takes the
+    moments of all k cells from the law's exact cell moments in one array
+    call and makes a Newton step on the expected squared distance, whose
+    Hessian is tridiagonal (Pages and Printems 2003), so the iteration
+    converges quadratically.  Where the Hessian is not positive definite,
+    or the step would break the points' order, the iteration makes one
+    Lloyd-Max step instead (each point to its cell mean; a cell with mass
+    below 1e-300 keeps its point).  Iteration stops when no point moves by
+    1e-12 standard deviations or more, or after 500 steps.
     """
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
     if k == 1:
         return np.array([law.mean])
+    cells = min(_GRID_CELLS_PER_POINT * k, _GRID_MAX_CELLS)
+    if cells < 2 * k:
+        raise UsageError(f"k must be <= {_GRID_MAX_CELLS // 2}, two of the start grid's cells a point; got k={k}")
     scale = float(np.sqrt(law.variance))
     if not scale > 0:
         raise UsageError("law has zero variance; quantizer is degenerate")
     tol = 1e-12 * max(scale, 1e-12)
 
-    base = (np.arange(k) + 0.5) / k
-    level_sets = [0.5 + (base - 0.5) * c for c in (1.0, 0.5, 0.25)]
-    level_sets += [np.clip(base + shift, 1e-4, 1.0 - 1e-4) for shift in (0.1 / k, -0.1 / k)]
-
-    best_points = None
-    best_objective = np.inf
-    for levels in level_sets:
-        y = np.array([law.quantile(p) for p in levels])
-        y.sort()
-        for _ in range(500):
-            new = _solver_step(law, y)
-            shift = np.abs(new - y).max()
-            y = new
-            if shift < tol:
-                break
-        objective = law.expected_sq_distance(y)
-        if best_points is None or objective < best_objective * (1.0 - 1e-14):
-            best_objective = objective
-            best_points = y
-    return np.sort(best_points)
+    reach = np.arcsinh(_GRID_REACH_SD)
+    bounds = law.mean + scale * np.sinh(np.linspace(-reach, reach, cells - 1))
+    m0, m1, m2 = law.cell_moments(np.concatenate(([-np.inf], bounds)), np.concatenate((bounds, [np.inf])))
+    runs = _grid_cuts(m0, m1, m2, k)[:-1]
+    y = np.add.reduceat(m1, runs) / np.add.reduceat(m0, runs)
+    for _ in range(500):
+        new = _solver_step(law, y)
+        shift = np.abs(new - y).max()
+        y = new
+        if shift < tol:
+            break
+    return y
 
 
 def closed_form_two_points(model: EllipticalModel) -> PointSet:

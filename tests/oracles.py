@@ -177,6 +177,24 @@ def reference_lloyd(samples, k, init=None, tol=1e-8, max_iter=300, restarts=10, 
     return best + (reference_residual(samples, best[0]),)
 
 
+def reference_grid_cuts(m0, m1, m2, k):
+    """Least-cost cuts of cells into k runs by the plain dynamic program: the whole (m + 1, m + 1)
+    cost matrix of runs (inf for runs without mass) and every cut of every layer, ties to the lowest."""
+    p0, p1, p2 = (np.concatenate(([0.0], np.cumsum(x))) for x in (m0, m1, m2))
+    s0, s1, s2 = (p[None, :] - p[:, None] for p in (p0, p1, p2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cost = np.where(s0 > 0, s2 - s1 * s1 / s0, np.inf)
+    best, back = cost[0], []
+    for _ in range(k - 1):
+        total = best[:, None] + cost
+        back.append(total.argmin(axis=0))
+        best = total.min(axis=0)
+    cuts = [m0.size]
+    for layer in back[::-1]:
+        cuts.append(int(layer[cuts[-1]]))
+    return (0, *cuts[::-1])
+
+
 def normal_pdf(y):
     return _norm.pdf(y)
 
@@ -223,3 +241,41 @@ T5_K3 = (-1.640595246371, 0.0, 1.640595246371)
 T5_K3_MSE = 0.457163873333
 G_GAUSSIAN = 0.363380227632
 G_T5 = 0.459620353908
+
+# Distortions E[min_j (Y - y_j)^2] of the 1-d solver's points at k = 2, 3, 5, 10, 20, frozen
+# from the solver as it was before its grid start, when it ran Newton from five quantile-spread
+# starts and kept the best.  Each is taken on the law less its mean, so that the moment sums do
+# not cancel.  Keys name the laws of test_quantize.py's SWEEP_LAWS.
+SWEEP_KS = (2, 3, 5, 10, 20)
+SWEEP_DISTORTIONS = {
+    "normal": (0.3633802276324186, 0.19017403924790158, 0.07994112708827711, 0.02293705290450105, 0.006207789884887568),
+    "uniform": (0.02083333333333333, 0.009259259259259276, 0.003333333333333359, 0.0008333333333333253, 0.00020833333333333327),
+    "t2.5": (3.545493857956646, 2.759082850288157, 1.849454388526227, 0.9056787811381505, 0.3626983876896043),
+    "t3": (1.7841457962919465, 1.2438583619595436, 0.72638115704767, 0.2973465175871287, 0.10241695021209371),
+    "t4": (0.9999999999999991, 0.6274169979695177, 0.3236317893907132, 0.1150913510056075, 0.03580346833479662),
+    "t5": (0.7660339231792214, 0.4571638733331229, 0.22256978391807714, 0.07440698510708302, 0.02222051525985429),
+    "t6.3": (0.6339607017509098, 0.36527753287298814, 0.17082456460626372, 0.05473185562792182, 0.015902601369659815),
+    "t10": (0.5023193359374986, 0.2775465683112003, 0.12379989030381594, 0.03774612284696398, 0.010622489143399912),
+    "two-point-z1.5-p0.1": (0.37012090757513405, 0.1944373534332445, 0.08186770000185431, 0.02350275935934934, 0.006361451486727622),
+    "two-point-z1.5-p0.3": (0.3812055812587106, 0.20252260915119913, 0.0857771285756456, 0.02466999912617571, 0.006679429739463496),
+    "two-point-z1.5-p0.5": (0.38786560349271015, 0.2087723697704258, 0.08942653762699802, 0.025827484390025954, 0.006997348564524302),
+    "two-point-z1.5-p0.7": (0.3876875280319082, 0.21038310005507344, 0.09151933649482771, 0.026740199048746225, 0.007257841523100154),
+    "two-point-z1.5-p0.9": (0.37611262307977017, 0.20170155781067606, 0.0876409867046474, 0.02613750959947641, 0.0071874904672687276),
+    "two-point-z2.2-p0.1": (0.3818959193960719, 0.19820155406497691, 0.08335297978629391, 0.023921875461191174, 0.006474450859141175),
+    "two-point-z2.2-p0.3": (0.4155802870586539, 0.21737517717167573, 0.09087852425029272, 0.0261295475279994, 0.007073139584317576),
+    "two-point-z2.2-p0.5": (0.4418675968284214, 0.24055270397161915, 0.09979264569471212, 0.028778434685594136, 0.007793299582399955),
+    "two-point-z2.2-p0.7": (0.4528383220394617, 0.26166481172718187, 0.11121441775033111, 0.03198177807239269, 0.008665803727969908),
+    "two-point-z2.2-p0.9": (0.4229943334841807, 0.24786438360029678, 0.11855847691521325, 0.03439059082978758, 0.00937256996034728),
+    "two-point-z3-p0.1": (0.39132938837050757, 0.19767822138165325, 0.08398239590859366, 0.024092288014099864, 0.006520703509579875),
+    "two-point-z3-p0.3": (0.4444045622973831, 0.2177154988005015, 0.09321054319406578, 0.026699050217090448, 0.0072291443990020535),
+    "two-point-z3-p0.5": (0.4907041821059349, 0.24878608076115527, 0.10390689681175981, 0.030014847939350688, 0.008129967296360771),
+    "two-point-z3-p0.7": (0.5206627596291151, 0.2979615156831942, 0.11726504825739903, 0.03461646629611088, 0.00939314189610223),
+    "two-point-z3-p0.9": (0.49070418210593497, 0.3163756934981481, 0.14202872012369427, 0.04122537034472435, 0.011159819416534789),
+    "two-point-z20-p0.1": (0.4147718537986105, 0.19039892843444756, 0.08019662802493673, 0.02373482141226925, 0.006483390518274433),
+    "two-point-z20-p0.3": (0.4805930689172589, 0.1910407812679718, 0.08092584939249932, 0.02456020069026596, 0.006837426239098539),
+    "two-point-z20-p0.5": (0.5252235043845126, 0.1921935553595023, 0.08223553824267041, 0.02596113144169353, 0.007351487925219976),
+    "two-point-z20-p0.7": (0.5597434077317773, 0.1948706272555772, 0.08527701118967043, 0.02817090624026037, 0.008069862923702037),
+    "two-point-z20-p0.9": (0.5928058855151132, 0.20799417041359564, 0.10018692135772662, 0.033732981797499166, 0.01001934360041927),
+    "shifted-normal": (0.17805631153988505, 0.09318527923147162, 0.039171152273255794, 0.011239155923205556, 0.0030418170435950005),
+    "t5-scaled": (3.0641356927168855, 1.8286554933324966, 0.8902791356723081, 0.29762794042833457, 0.08888206103941713),
+}

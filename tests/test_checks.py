@@ -284,6 +284,16 @@ class TestConditionalLinearity:
         assert len(reports) == 4
         assert all(r.passed for r in reports), [(r.params["model"], r.residuals) for r in reports]
 
+    def test_too_few_draws_for_any_bin_is_flagged_not_passed(self):
+        # at n=60 each of the 10 bins holds 6 draws, under the 10 a bin needs to be judged
+        reports = reference_suite(seed=0, n=60, checks=["conditional_linearity"])
+        assert len(reports) == 4
+        for r in reports:
+            assert r.flags == ("too-few-draws",)
+            assert set(r.residuals) == set(r.tolerances) == {"slope_max_z"}
+        judged = reference_suite(seed=0, n=2000, checks=["conditional_linearity"])
+        assert all(r.flags == () and "binned_mean_max_z" in r.residuals for r in judged)
+
     def test_suite_fails_a_slope_off_by_ten_percent(self, monkeypatch):
         import funquant.checks
 

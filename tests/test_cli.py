@@ -573,9 +573,9 @@ print("probe", *sorted(m for m in sys.modules if m == "scipy" or m.startswith("s
 
 
 def test_checks_and_one_dimensional_solves_load_no_scipy(tmp_path):
-    # convex_hull weights points by domain shares, closed-form on a two-point mixture inverts the
-    # mixture CDF, and every 1-d solve takes cell moments and makes tridiagonal Newton steps: none
-    # of them may load any part of scipy
+    # convex_hull weights points by domain shares, and every 1-d solve (closed-form on a two-point
+    # mixture among them) starts from one grid of cell moments and makes tridiagonal Newton steps:
+    # none of them may load any part of scipy
     two_point = dict(MODEL, mixture={"kind": "two_point", "z1": 1.0, "z2": 3.0, "p": 0.3})
     write_config(tmp_path, {"checks": ["convex_hull", "ratio_invariance"], "n": 2000, "seed": 0}, "verify.json")
     write_config(tmp_path, {"model": two_point, "seed": 0}, "closed-form.json")

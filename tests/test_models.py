@@ -332,8 +332,6 @@ class TestStandardizedProjection:
         assert abs(inner.mean() - expected) < 4.0 * inner.std() / np.sqrt(draws.size)
         tail = 2.0 * law.cdf(-cut)
         assert abs(np.mean(np.abs(draws) > cut) - tail) < 4.0 * np.sqrt(tail * (1.0 - tail) / draws.size)
-        # the standardized law's quantiles are well behaved; cross-check one
-        assert np.quantile(draws, 0.95) == pytest.approx(law.quantile(0.95), rel=0.01)
 
 
 class TestModelSchema:

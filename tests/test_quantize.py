@@ -1,4 +1,7 @@
+import itertools
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,6 +203,46 @@ class TestQuantizerVariable:
         assert np.mean(d_out**2) == pytest.approx(empirical_mse(draws, points), rel=1e-12)
 
 
+# The laws of the frozen sweep in oracles.SWEEP_DISTORTIONS.  The two-point laws with z2 = 20 have
+# local optima close to the best one at large k, so a start in the wrong basin shows; t2.5 has the
+# heaviest tails here, and the last two laws are off center.
+SWEEP_LAWS = {
+    "normal": normal_law(),
+    "uniform": UniformLaw(0.0, 1.0),
+    **{f"t{nu:g}": StudentTLaw(nu=nu) for nu in (2.5, 3.0, 4.0, 5.0, 6.3, 10.0)},
+    **{
+        f"two-point-z{z2:g}-p{p:g}": ScaleMixture.two_point(1.0, z2, p).standardized_law()
+        for z2 in (1.5, 2.2, 3.0, 20.0)
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9)
+    },
+    "shifted-normal": normal_law(mean=1.5, sd=0.7),
+    "t5-scaled": StudentTLaw(nu=5.0, scale=2.0, loc=-1.0),
+}
+
+
+def centered_distortion(law, points):
+    """E[min_j (Y - y_j)^2] taken on the law less its mean, where the moment sums do not cancel."""
+    if isinstance(law, UniformLaw):
+        centered = UniformLaw(law.lo - law.mean, law.hi - law.mean)
+    else:
+        centered = replace(law, loc=0.0)
+    return centered.expected_sq_distance(np.asarray(points) - law.mean)
+
+
+def brute_force_cuts(m0, m1, m2, k):
+    """The least-cost cuts of the cells into k runs with mass, over every set of k - 1 inner cuts."""
+    best, best_cuts = np.inf, None
+    for inner in itertools.combinations(range(1, m0.size), k - 1):
+        cuts = (0, *inner, m0.size)
+        total = 0.0
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            s0, s1, s2 = m0[lo:hi].sum(), m1[lo:hi].sum(), m2[lo:hi].sum()
+            total += s2 - s1 * s1 / s0 if s0 > 0 else np.inf
+        if total < best:
+            best, best_cuts = total, cuts
+    return best_cuts
+
+
 class TestUnivariateSolver:
     @pytest.mark.parametrize(
         "law, k, expected, expected_mse",
@@ -252,6 +295,87 @@ class TestUnivariateSolver:
         m0, m1, _ = law.cell_moments(np.concatenate(([-np.inf], mid)), np.concatenate((mid, [np.inf])))
         assert np.all(np.diff(points) > 0)
         assert np.abs(points - m1 / m0).max() <= 1e-10 * np.sqrt(law.variance)
+
+    @pytest.mark.parametrize("name", SWEEP_LAWS)
+    def test_distortion_is_never_above_the_frozen_sweep(self, name):
+        law = SWEEP_LAWS[name]
+        for k, frozen in zip(oracles.SWEEP_KS, oracles.SWEEP_DISTORTIONS[name]):
+            assert centered_distortion(law, univariate_principal_points(law, k)) <= frozen * (1.0 + 1e-13), k
+
+    @pytest.mark.parametrize("block", [4096, 6])  # 6: blocks of one or two columns, most of them short of rows
+    @pytest.mark.parametrize(
+        "law, cells, k, seed",
+        [
+            (normal_law(), 8, 3, 0),
+            (StudentTLaw(nu=2.5), 8, 3, 1),
+            (ScaleMixture.two_point(1.0, 20.0, 0.1).standardized_law(), 10, 4, 2),
+            (UniformLaw(0.0, 1.0), 12, 3, 3),
+        ],
+        ids=["normal", "t2.5", "two-point-z20", "uniform"],
+    )
+    def test_grid_cuts_match_brute_force(self, monkeypatch, law, cells, k, seed, block):
+        monkeypatch.setattr(quantize, "_GRID_BLOCK", block)
+        # bounds drawn like the solver's grid but jittered, so no two cut sets tie by symmetry
+        reach = np.arcsinh(40.0)
+        t = np.sort(np.random.default_rng(seed).uniform(-reach, reach, cells - 1))
+        bounds = law.mean + np.sqrt(law.variance) * np.sinh(t)
+        m0, m1, m2 = law.cell_moments(np.concatenate(([-np.inf], bounds)), np.concatenate((bounds, [np.inf])))
+        if isinstance(law, UniformLaw):
+            assert k <= np.count_nonzero(m0) < cells / 2  # most cells have no mass
+        cuts = quantize._grid_cuts(m0, m1, m2, k)
+        assert tuple(cuts) == brute_force_cuts(m0, m1, m2, k)
+        assert np.all(np.add.reduceat(m0, cuts[:-1]) > 0.0)
+
+    @pytest.mark.parametrize("k", [3, 20, 50])
+    @pytest.mark.parametrize("law", [normal_law(), StudentTLaw(nu=2.5), UniformLaw(0.0, 1.0),
+                                     ScaleMixture.two_point(1.0, 20.0, 0.1).standardized_law()],
+                             ids=["normal", "t2.5", "uniform", "two-point-z20"])
+    def test_grid_cuts_match_the_plain_dynamic_program(self, law, k):
+        # the solver's own grid: blocks of up to 4,096 elements, and rows cut by the monotone best cut
+        cells = min(20 * k, 1000)
+        reach = np.arcsinh(40.0)
+        bounds = law.mean + np.sqrt(law.variance) * np.sinh(np.linspace(-reach, reach, cells - 1))
+        m0, m1, m2 = law.cell_moments(np.concatenate(([-np.inf], bounds)), np.concatenate((bounds, [np.inf])))
+        assert tuple(quantize._grid_cuts(m0, m1, m2, k)) == oracles.reference_grid_cuts(m0, m1, m2, k)
+
+    @pytest.mark.parametrize("k", [2, 5, 20])
+    def test_uniform_start_skips_the_cells_without_mass(self, monkeypatch, k):
+        # about 70% of the grid lies outside the support, so a run without mass would start at NaN
+        law, starts = UniformLaw(0.0, 1.0), []
+        step = quantize._solver_step
+
+        def recording_step(law, y):
+            starts.append(y)
+            return step(law, y)
+
+        monkeypatch.setattr(quantize, "_solver_step", recording_step)
+        points = univariate_principal_points(law, k)
+        assert np.all(np.isfinite(starts[0])) and np.all(np.diff(starts[0]) > 0)
+        assert 0.0 < starts[0][0] and starts[0][-1] < 1.0
+        np.testing.assert_allclose(points, (np.arange(k) + 0.5) / k, rtol=0.0, atol=1e-12)
+
+    def test_more_points_than_grid_cells_with_mass_rejected(self):
+        # 1,000 cells, of which about 300 lie inside the uniform's support
+        with pytest.raises(UsageError, match="k=400"):
+            univariate_principal_points(UniformLaw(0.0, 1.0), 400)
+
+    def test_k100_start_stays_within_its_memory_bound(self):
+        law = normal_law()
+        tracemalloc.start()
+        try:
+            points = univariate_principal_points(law, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6  # the (1001, 1001) cost matrix is 8.0 MB
+        mid = (points[1:] + points[:-1]) / 2.0
+        m0, m1, _ = law.cell_moments(np.concatenate(([-np.inf], mid)), np.concatenate((mid, [np.inf])))
+        assert np.all(np.diff(points) > 0)
+        assert np.abs(points - m1 / m0).max() <= 1e-10 * np.sqrt(law.variance)
+
+    def test_k_beyond_the_grid_cap_rejected(self):
+        with pytest.raises(UsageError, match="k=501"):
+            univariate_principal_points(normal_law(), 501)
 
     def test_tridiagonal_solve_is_scipys_to_the_bit(self):
         rng = np.random.default_rng(14)
