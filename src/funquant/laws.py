@@ -6,9 +6,8 @@ A law exposes its density, CDF and partial moments over an interval:
 may be arrays of bounds, so one call gives the moments of every cell.
 Cell moments, with the density for Newton's Hessian, are what the
 one-dimensional solver needs: its start merges the cells of a fixed grid
-of at most 1,000 cells into the best k runs, its steps take conditional
-means over cells, and the expected squared distance to a finite point set
-is a sum over cells.
+into the best k runs, its steps take conditional means over cells, and
+the expected squared distance to a finite point set is a sum over cells.
 
 Gaussian and Student components use closed-form antiderivatives instead of
 numeric quadrature, so the solver's cell means carry no integration error.
@@ -164,15 +163,15 @@ def _moments(m0, m1, m2):
 class UnivariateLaw:
     """Interface shared by the concrete laws below.
 
-    The one-dimensional solver reads ``mean``, ``variance``, ``pdf`` and
-    ``cell_moments`` only.  Its start takes, in one call, the moments of a
-    grid of 20 cells a point (at most 1,000, so k <= 500) whose finite
-    bounds reach 40 standard deviations from the mean; each Newton step
-    takes those of its k cells.
+    The one-dimensional solver reads ``mean``, ``variance``, ``support``,
+    ``pdf`` and ``cell_moments`` only: the moments of its start's grid, whose
+    bounds reach 40 sd or the ends of the support, in one call, and of its
+    k cells in one call a step.
     """
 
     mean: float
     variance: float
+    support: tuple[float, float] = (-math.inf, math.inf)
 
     def pdf(self, y):
         raise NotImplementedError
@@ -370,6 +369,10 @@ class UniformLaw(UnivariateLaw):
     @property
     def variance(self) -> float:
         return (self.hi - self.lo) ** 2 / 12.0
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return (self.lo, self.hi)
 
     def pdf(self, y):
         y = np.asarray(y, dtype=float)

@@ -4,17 +4,11 @@
 sample matrices, with k-means++ style seeding, multiple restarts and
 farthest-point re-seeding of empty domains.  ``univariate_principal_points``
 is the one-dimensional solver driven by exact cell moments of a law, used
-both for the closed-form two-point solution along the leading
-eigendirection and for the scale-free quantization constant ``g``.  Its one
-start is the best quantizer whose cells are runs of a fixed grid's cells,
-found by dynamic programming (``_grid_cuts``).  From there it makes
-Newton steps on the expected squared distance: one array ``cell_moments``
-call gives every cell's mass and moments, and the Hessian is tridiagonal,
-so each step is one L D L^T solve (``_solve_tridiagonal``) and the
-iteration converges quadratically.  Where the Hessian is not positive
-definite, or a step would break the points' order, it falls back to one
-Lloyd-Max step (each point to its cell mean).  Cell masses are tail-exact
-(see ``funquant.laws``), so far tail cells keep their conditional means.
+for the closed-form two-point solution and the quantization constant
+``g``: one start found by dynamic programming over a grid of cells
+(``_grid_cuts``), then Newton steps, each one L D L^T solve of the
+tridiagonal Hessian (``_solve_tridiagonal``), or Lloyd-Max steps where
+Newton's cannot be taken, and a step off any saddle (``_escape``).
 
 One blocked kernel, ``_nearest``, labels every sample with its nearest
 point.  It ranks the points by the expansion |c|^2 - 2 x.c, taking the
@@ -383,15 +377,12 @@ def _solve_tridiagonal(diagonal: np.ndarray, off: np.ndarray, rhs: np.ndarray) -
     return np.array(x)
 
 
-def _solver_step(law: UnivariateLaw, y: np.ndarray) -> np.ndarray:
-    """One Newton step on the distortion of the sorted points y.
+def _hessian(law: UnivariateLaw, y: np.ndarray):
+    """Masses m0 and first moments m1 of the cells of the sorted points y, and the diagonal and
+    off-diagonal of half the distortion's Hessian (half its gradient is y m0 - m1).
 
-    With cells cut at the midpoints b of adjacent points, half the gradient
-    is y_j m0_j - m1_j, and half the Hessian is tridiagonal: m0_j minus
-    f(b) (y_{j+1} - y_j) / 4 for each adjacent midpoint b on the diagonal,
-    -f(b) (y_{j+1} - y_j) / 4 off it.  Where that Hessian is not positive
-    definite, or the step would break the points' order, the step is one
-    Lloyd-Max update instead: each point moves to its cell's mean.
+    With cells cut at the midpoints b of adjacent points, it is m0_j minus
+    f(b) (y_{j+1} - y_j) / 4 for each adjacent b on the diagonal, that term off it.
     """
     mid = (y[1:] + y[:-1]) / 2.0
     m0, m1, _ = law.cell_moments(np.concatenate(([-np.inf], mid)), np.concatenate((mid, [np.inf])))
@@ -399,6 +390,14 @@ def _solver_step(law: UnivariateLaw, y: np.ndarray) -> np.ndarray:
     diagonal = m0.copy()
     diagonal[1:] += coupling
     diagonal[:-1] += coupling
+    return m0, m1, diagonal, coupling
+
+
+def _solver_step(law: UnivariateLaw, y: np.ndarray) -> np.ndarray:
+    """One Newton step on the distortion of the sorted points y; where the Hessian is not positive
+    definite, or the step would break the points' order, one Lloyd-Max step (each point to its
+    cell's mean) instead."""
+    m0, m1, diagonal, coupling = _hessian(law, y)
     try:
         new = y + _solve_tridiagonal(diagonal, coupling, m1 - y * m0)
         if np.all(np.diff(new) > 0):
@@ -408,55 +407,92 @@ def _solver_step(law: UnivariateLaw, y: np.ndarray) -> np.ndarray:
     return np.divide(m1, m0, out=y.copy(), where=m0 > 1e-300)
 
 
-# The start's grid: cells per point, the most cells (so its cost matrix stays near 8 MB), the
-# reach of its finite bounds in standard deviations, and the elements of one block of its work.
-_GRID_CELLS_PER_POINT = 20
-_GRID_MAX_CELLS = 1000
-_GRID_REACH_SD = 40.0
-_GRID_BLOCK = 4096
+def _escape(law: UnivariateLaw, y: np.ndarray) -> np.ndarray | None:
+    """Ordered points of lower distortion than y, off a saddle, or None where y is none.
+
+    Lloyd-Max steps keep a symmetric point set symmetric, so the solver can
+    stop at a symmetric saddle.  Where the Hessian's L D L^T fails (only
+    there, as a first LAPACK eigensolve adds 0.9 MB to the process) and it
+    has a negative eigenvalue, this tries y + t v, then y - t v, along its
+    eigenvector v (points' sum rising) for t = sd, sd/2, ..., 2^-52 sd.
+    """
+    _, _, diagonal, coupling = _hessian(law, y)
+    try:
+        _solve_tridiagonal(diagonal, coupling, y)
+        return None
+    except np.linalg.LinAlgError:
+        values, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(coupling, 1) + np.diag(coupling, -1))
+    if values[0] >= 0.0:
+        return None
+    v = vectors[:, 0] if vectors[:, 0].sum() >= 0.0 else -vectors[:, 0]
+    level, t = law.expected_sq_distance(y), float(np.sqrt(law.variance))
+    for _ in range(53):
+        for trial in (y + t * v, y - t * v):
+            if np.all(np.diff(trial) > 0) and law.expected_sq_distance(trial) < level:
+                return trial
+        t /= 2.0
+    return None
+
+
+_GRID_BLOCK = 4096  # the most elements of one block of the start's dynamic program
+
+
+def _grid_moments(law: UnivariateLaw, k: int):
+    """Cell moments (m0, m1, m2) of the start's grid for k points, in one ``cell_moments`` call.
+
+    20 cells a point, at most 1,000, so k may not exceed 500 (UsageError).
+    The finite bounds are mean + sd sinh(t) at even steps of t, dense near
+    the mean and reaching 40 sd or the ends of the law's support if nearer,
+    so only the two infinite end cells of a bounded law have no mass.
+    """
+    if k > 500:
+        raise UsageError(f"k must be <= 500, two of the start grid's 1,000 cells a point; got k={k}")
+    scale, reach = float(np.sqrt(law.variance)), np.arcsinh(40.0)
+    lo, hi = (np.clip(np.arcsinh((end - law.mean) / scale), -reach, reach) for end in law.support)
+    bounds = law.mean + scale * np.sinh(np.linspace(lo, hi, min(20 * k, 1000) - 1))
+    return law.cell_moments(np.concatenate(([-np.inf], bounds)), np.concatenate((bounds, [np.inf])))
+
+
+def _run_costs(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """Cost S2 - S1^2 / S0 of the run of cells i to j - 1, for i in rows and j in cols, from the
+    prefix sums of the cells' moments; inf for a run without mass (S0 <= 0, as where j <= i)."""
+    s0, s1 = p0[cols] - p0[rows, None], p1[cols] - p1[rows, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s0 > 0.0, p2[cols] - p2[rows, None] - s1 * s1 / s0, np.inf)
 
 
 def _grid_cuts(m0: np.ndarray, m1: np.ndarray, m2: np.ndarray, k: int) -> np.ndarray:
     """The cuts of m ordered cells into k runs of adjacent cells with the least total cost.
 
-    A run's cost is its squared distance to its own mean, S2 - S1^2 / S0 in
-    the sums of its cells' moments (taken from prefix sums), and a run with
-    no mass costs inf, so no run is ever empty.  The least total is a
-    shortest path (Wang and Song 2011, Ckmeans.1d.dp), found by k - 1
-    min-plus layers over the (m + 1, m + 1) cost matrix, ties to the lowest
-    cut.  The cost is Monge, so a layer's best last cut never falls as the
-    run's end moves right, and each block of ends searches only the cuts
-    from the previous end's best on.  The matrix and each layer are built in
-    blocks of at most ``_GRID_BLOCK`` elements.  Returns the k + 1 cuts, 0 first and m last;
-    run j is cells cuts[j] to cuts[j + 1] - 1.  UsageError when fewer than k
-    cells add to the prefix sum of the masses.
+    A run costs its squared distance to its mean (``_run_costs``; inf, so
+    never taken, without mass).  The least total is a shortest path (Wang
+    and Song 2011, Ckmeans.1d.dp): k - 1 min-plus layers, ties to the lowest
+    cut, over costs taken in blocks of at most ``_GRID_BLOCK`` elements and
+    not kept.  The cost is Monge, so a layer's best last cut never falls as
+    the run's end moves right, and each block of ends searches only cuts
+    from the previous end's best on: with every cut, a solve takes 3 times
+    as long at k=20 and 9 times at k=50.  Returns the k + 1 cuts, 0 to m.
     """
     m = m0.size
     p0, p1, p2 = (np.concatenate(([0.0], np.cumsum(x))) for x in (m0, m1, m2))
     # each run needs a rise of p0, and k rises let k runs each take one
     if np.count_nonzero(np.diff(p0)) < k:
         raise UsageError(f"k={k} points need k grid cells with mass; the law has mass in {np.count_nonzero(m0)}")
-    cost = np.empty((m + 1, m + 1))
-    rows = max(1, _GRID_BLOCK // (m + 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(0, m + 1, rows):
-            s0 = p0 - p0[i:i + rows, None]  # at most 0 where j <= i, as p0 never falls
-            s1 = p1 - p1[i:i + rows, None]
-            cost[i:i + rows] = np.where(s0 > 0.0, p2 - p2[i:i + rows, None] - s1 * s1 / s0, np.inf)
-    best = cost[0]  # best[j]: the least cost of cells 0 to j - 1 in the runs so far
+    best = _run_costs(p0, p1, p2, slice(0, 1), slice(None))[0]  # best[j]: least cost of cells 0 to j - 1
     back = np.empty((k - 1, m + 1), dtype=np.intp)
     for layer in back:
         new = np.empty(m + 1)
         j = low = 0
         while j <= m:
-            # ends j to j + width - 1 take cuts from low, the best of end j - 1, with (span + width) width
+            # ends j to j + width - 1 take cuts from low, the best of end j - 1: (span + width) width
             # elements at most _GRID_BLOCK
             span = j - low
             width = max(1, int((np.sqrt(span * span + 4 * _GRID_BLOCK) - span) / 2))
-            total = best[low:j + width, None] + cost[low:j + width, j:j + width]
+            rows, cols = slice(low, j + width), slice(j, j + width)
+            total = best[rows, None] + _run_costs(p0, p1, p2, rows, cols)
             at = total.argmin(axis=0)
-            layer[j:j + width] = low + at
-            new[j:j + width] = total[at, np.arange(at.size)]
+            layer[cols] = low + at
+            new[cols] = total[at, np.arange(at.size)]
             low += int(at[-1])
             j += width
         best = new
@@ -469,46 +505,36 @@ def _grid_cuts(m0: np.ndarray, m1: np.ndarray, m2: np.ndarray, k: int) -> np.nda
 def univariate_principal_points(law: UnivariateLaw, k: int) -> np.ndarray:
     """Best k-point quantizer of a one-dimensional law, by Newton's method.
 
-    Cell boundaries are midpoints of adjacent points, and at the solution
-    each point is its cell's conditional mean (self-consistency).  The
-    start is the best k-point quantizer whose cells are runs of a fixed
-    grid's cells, each point its run's mean (``_grid_cuts``).  The grid has
-    20 cells a point, at most 1,000, so k may not exceed 500.  Its finite
-    bounds are mean + sd sinh(t) at even steps of t in [-asinh 40, asinh 40],
-    dense near the mean and reaching 40 sd; its two end cells are infinite,
-    and its moments come from one array call.  Each iteration takes the
-    moments of all k cells from the law's exact cell moments in one array
-    call and makes a Newton step on the expected squared distance, whose
-    Hessian is tridiagonal (Pages and Printems 2003), so the iteration
-    converges quadratically.  Where the Hessian is not positive definite,
-    or the step would break the points' order, the iteration makes one
-    Lloyd-Max step instead (each point to its cell mean; a cell with mass
-    below 1e-300 keeps its point).  Iteration stops when no point moves by
-    1e-12 standard deviations or more, or after 500 steps.
+    Cells are cut at midpoints of adjacent points; at the solution each
+    point is its cell's mean.  The start is the best quantizer whose cells
+    are runs of a grid's cells (``_grid_cuts`` on ``_grid_moments``, so
+    k <= 500).  Each step is a Newton step, whose Hessian is tridiagonal
+    (Pages and Printems 2003), or a Lloyd-Max step where Newton's cannot be
+    taken (a cell with mass below 1e-300 keeps its point).  Iteration stops
+    when no point moves by 1e-12 sd, or after 500 steps; from a saddle it
+    steps off (``_escape``) and iterates again, at most 10 times.
     """
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
     if k == 1:
         return np.array([law.mean])
-    cells = min(_GRID_CELLS_PER_POINT * k, _GRID_MAX_CELLS)
-    if cells < 2 * k:
-        raise UsageError(f"k must be <= {_GRID_MAX_CELLS // 2}, two of the start grid's cells a point; got k={k}")
-    scale = float(np.sqrt(law.variance))
-    if not scale > 0:
+    if not law.variance > 0:
         raise UsageError("law has zero variance; quantizer is degenerate")
-    tol = 1e-12 * max(scale, 1e-12)
-
-    reach = np.arcsinh(_GRID_REACH_SD)
-    bounds = law.mean + scale * np.sinh(np.linspace(-reach, reach, cells - 1))
-    m0, m1, m2 = law.cell_moments(np.concatenate(([-np.inf], bounds)), np.concatenate((bounds, [np.inf])))
+    tol = 1e-12 * max(float(np.sqrt(law.variance)), 1e-12)
+    m0, m1, m2 = _grid_moments(law, k)
     runs = _grid_cuts(m0, m1, m2, k)[:-1]
     y = np.add.reduceat(m1, runs) / np.add.reduceat(m0, runs)
-    for _ in range(500):
-        new = _solver_step(law, y)
-        shift = np.abs(new - y).max()
-        y = new
-        if shift < tol:
+    for _ in range(10):
+        for _ in range(500):
+            new = _solver_step(law, y)
+            shift = np.abs(new - y).max()
+            y = new
+            if shift < tol:
+                break
+        lower = _escape(law, y)
+        if lower is None:
             break
+        y = lower
     return y
 
 

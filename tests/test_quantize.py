@@ -215,6 +215,8 @@ SWEEP_LAWS = {
         for z2 in (1.5, 2.2, 3.0, 20.0)
         for p in (0.1, 0.3, 0.5, 0.7, 0.9)
     },
+    # symmetric laws whose k=2 optimum is not: the symmetric pair is a saddle
+    **{f"two-point-z{z2:g}-p0.05": ScaleMixture.two_point(1.0, z2, 0.05).standardized_law() for z2 in (30.0, 50.0)},
     "shifted-normal": normal_law(mean=1.5, sd=0.7),
     "t5-scaled": StudentTLaw(nu=5.0, scale=2.0, loc=-1.0),
 }
@@ -332,15 +334,12 @@ class TestUnivariateSolver:
                              ids=["normal", "t2.5", "uniform", "two-point-z20"])
     def test_grid_cuts_match_the_plain_dynamic_program(self, law, k):
         # the solver's own grid: blocks of up to 4,096 elements, and rows cut by the monotone best cut
-        cells = min(20 * k, 1000)
-        reach = np.arcsinh(40.0)
-        bounds = law.mean + np.sqrt(law.variance) * np.sinh(np.linspace(-reach, reach, cells - 1))
-        m0, m1, m2 = law.cell_moments(np.concatenate(([-np.inf], bounds)), np.concatenate((bounds, [np.inf])))
+        m0, m1, m2 = quantize._grid_moments(law, k)
         assert tuple(quantize._grid_cuts(m0, m1, m2, k)) == oracles.reference_grid_cuts(m0, m1, m2, k)
 
     @pytest.mark.parametrize("k", [2, 5, 20])
-    def test_uniform_start_skips_the_cells_without_mass(self, monkeypatch, k):
-        # about 70% of the grid lies outside the support, so a run without mass would start at NaN
+    def test_uniform_start_is_inside_the_support(self, monkeypatch, k):
+        # the grid's two infinite end cells have no mass, so a run of them alone would start at NaN
         law, starts = UniformLaw(0.0, 1.0), []
         step = quantize._solver_step
 
@@ -350,14 +349,20 @@ class TestUnivariateSolver:
 
         monkeypatch.setattr(quantize, "_solver_step", recording_step)
         points = univariate_principal_points(law, k)
+        assert np.count_nonzero(quantize._grid_moments(law, k)[0]) == 20 * k - 2
         assert np.all(np.isfinite(starts[0])) and np.all(np.diff(starts[0]) > 0)
         assert 0.0 < starts[0][0] and starts[0][-1] < 1.0
         np.testing.assert_allclose(points, (np.arange(k) + 0.5) / k, rtol=0.0, atol=1e-12)
 
-    def test_more_points_than_grid_cells_with_mass_rejected(self):
-        # 1,000 cells, of which about 300 lie inside the uniform's support
-        with pytest.raises(UsageError, match="k=400"):
-            univariate_principal_points(UniformLaw(0.0, 1.0), 400)
+    def test_uniform_takes_as_many_points_as_the_grid_cap(self):
+        # the grid spans the support, so all but its two end cells have mass
+        points = univariate_principal_points(UniformLaw(0.0, 1.0), 400)
+        np.testing.assert_allclose(points, (np.arange(400) + 0.5) / 400, rtol=0.0, atol=1e-12)
+
+    def test_more_points_than_cells_with_mass_rejected(self):
+        m0 = np.array([0.0, 0.5, 0.0, 0.5, 0.0])
+        with pytest.raises(UsageError, match="k=3"):
+            quantize._grid_cuts(m0, m0, m0, 3)
 
     def test_k100_start_stays_within_its_memory_bound(self):
         law = normal_law()
@@ -367,7 +372,7 @@ class TestUnivariateSolver:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10e6  # the (1001, 1001) cost matrix is 8.0 MB
+        assert peak < 10e6  # a (1001, 1001) cost matrix alone would be 8.0 MB
         mid = (points[1:] + points[:-1]) / 2.0
         m0, m1, _ = law.cell_moments(np.concatenate(([-np.inf], mid)), np.concatenate((mid, [np.inf])))
         assert np.all(np.diff(points) > 0)
@@ -376,6 +381,17 @@ class TestUnivariateSolver:
     def test_k_beyond_the_grid_cap_rejected(self):
         with pytest.raises(UsageError, match="k=501"):
             univariate_principal_points(normal_law(), 501)
+
+    @pytest.mark.parametrize("z2", [30.0, 50.0])
+    def test_symmetric_saddle_is_left_for_the_asymmetric_optimum(self, z2):
+        law = ScaleMixture.two_point(1.0, z2, 0.05).standardized_law()
+        points = univariate_principal_points(law, 2)
+        saddle = np.array([-1.0, 1.0]) * (law.cell_moments(0.0, np.inf)[1] / 0.5)  # each half's mean
+        lower = quantize._escape(law, saddle)
+        assert lower is not None and law.expected_sq_distance(lower) < law.expected_sq_distance(saddle)
+        assert quantize._escape(law, points) is None  # a minimum: no negative eigenvalue
+        assert points[0] + points[1] > 0.1  # the mirror image whose points' sum is positive
+        assert law.expected_sq_distance(points) < law.expected_sq_distance(saddle) * (1 - 3e-3)
 
     def test_tridiagonal_solve_is_scipys_to_the_bit(self):
         rng = np.random.default_rng(14)
