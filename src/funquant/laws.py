@@ -1,13 +1,14 @@
 """Univariate laws with exact cell moments for one-dimensional quantization.
 
-A law exposes its density, CDF and partial moments over an interval:
-``cell_moments(a, b)`` returns
-(P(a < Y <= b), E[Y; a < Y <= b], E[Y^2; a < Y <= b]).  ``a`` and ``b``
-may be arrays of bounds, so one call gives the moments of every cell.
-Cell moments, with the density for Newton's Hessian, are what the
-one-dimensional solver needs: its start merges the cells of a fixed grid
-into the best k runs, its steps take conditional means over cells, and
-the expected squared distance to a finite point set is a sum over cells.
+A law exposes its density and its partial moments about its mean:
+``cell_moments(a, b)`` returns the arrays E[(Y - mean)^r; a < Y <= b] for
+r = 0, 1, 2, one entry per cell of the bounds ``a`` and ``b``.  Principal
+points move with the location, so these are all a quantizer needs, and
+they keep full precision however far the law lies from 0.  Cell moments,
+with the density for Newton's Hessian, are what the one-dimensional solver
+needs: its start merges the cells of a fixed grid into the best k runs,
+its steps take conditional means over cells, and the expected squared
+distance to a finite point set is a sum over cells.
 
 Gaussian and Student components use closed-form antiderivatives instead of
 numeric quadrature, so the solver's cell means carry no integration error.
@@ -153,20 +154,13 @@ def _stdtr(nu: float, x) -> np.ndarray:
     return np.where(x > 0, 1.0 - tail, tail)
 
 
-def _moments(m0, m1, m2):
-    """Cell moments as Python floats for scalar bounds, as arrays otherwise."""
-    if np.ndim(m0) == 0:
-        return float(m0), float(m1), float(m2)
-    return m0, m1, m2
-
-
 class UnivariateLaw:
     """Interface shared by the concrete laws below.
 
     The one-dimensional solver reads ``mean``, ``variance``, ``support``,
     ``pdf`` and ``cell_moments`` only: the moments of its start's grid, whose
     bounds reach 40 sd or the ends of the support, in one call, and of its
-    k cells in one call a step.
+    k cells in one call a step, every moment about ``mean``.
     """
 
     mean: float
@@ -176,17 +170,13 @@ class UnivariateLaw:
     def pdf(self, y):
         raise NotImplementedError
 
-    def cdf(self, y):
-        raise NotImplementedError
-
     def cell_moments(self, a, b):
-        """Mass, first and second moment of Y restricted to (a, b].
+        """E[(Y - mean)^r; a < Y <= b] for r = 0, 1, 2: mass, first and second moment about the mean.
 
-        ``a`` and ``b`` are scalars or broadcastable arrays of bounds (each
-        may be +-inf).  Scalar bounds give a tuple of three Python floats;
-        array bounds give three arrays, one entry per cell.  A cell whose
-        lower bound lies above the law's center takes its mass from the
-        upper tail, so the mass of a far upper cell is exact rather than a
+        ``a`` and ``b`` are broadcastable arrays of bounds (each may be
+        +-inf); each moment has one entry per cell.  A cell whose lower
+        bound lies above the law's center takes its mass from the upper
+        tail, so the mass of a far upper cell is exact rather than a
         difference of two CDF values near 1.
         """
         raise NotImplementedError
@@ -199,15 +189,18 @@ class UnivariateLaw:
         """E[min_j (Y - y_j)^2] for a finite point set.
 
         Cells are delimited by midpoints of adjacent (sorted) points; the
-        integral over each cell expands into the stored partial moments,
-        all taken in one array call.
+        integral over each cell expands into the partial moments about the
+        mean, all taken in one array call, with x = y_j - mean.
         """
         pts = np.sort(np.asarray(points, dtype=float))
         if pts.ndim != 1 or pts.size == 0:
             raise UsageError("need a non-empty 1-d point set")
+        if not np.isfinite(pts).all():
+            raise UsageError("points must be finite; found NaN or infinite entries")
         mid = (pts[1:] + pts[:-1]) / 2.0
         m0, m1, m2 = self.cell_moments(np.concatenate(([-np.inf], mid)), np.concatenate((mid, [np.inf])))
-        return float(np.sum(m2 - 2.0 * pts * m1 + pts * pts * m0))
+        x = pts - self.mean
+        return float(np.sum(m2 - 2.0 * x * m1 + x * x * m0))
 
 
 @dataclass(frozen=True)
@@ -248,30 +241,19 @@ class NormalMixtureLaw(UnivariateLaw):
         return sum(w * s * s for w, s in zip(self.weights, self.scales))
 
     def pdf(self, y):
-        z = (np.asarray(y, dtype=float) - self.loc)
-        out = sum(
-            w * np.exp(-0.5 * (z / s) ** 2) / (_SQRT2PI * s)
-            for w, s in zip(self.weights, self.scales)
-        )
-        return out if np.ndim(y) else float(out)
-
-    def cdf(self, y):
-        z = (np.asarray(y, dtype=float) - self.loc)
-        out = sum(w * _ndtr(z / s) for w, s in zip(self.weights, self.scales))
-        return out if np.ndim(y) else float(out)
+        z = np.asarray(y, dtype=float) - self.loc
+        return sum(w * np.exp(-0.5 * (z / s) ** 2) / (_SQRT2PI * s) for w, s in zip(self.weights, self.scales))
 
     def cell_moments(self, a, b):
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        m0 = m1c = m2c = 0.0
+        a, b = np.asarray(a, dtype=float) - self.loc, np.asarray(b, dtype=float) - self.loc
+        m0 = m1 = m2 = 0.0
         for w, s in zip(self.weights, self.scales):
-            za, zb = (a - self.loc) / s, (b - self.loc) / s
+            za, zb = a / s, b / s
             p = _cell_mass(_ndtr, za, zb)
-            c1 = s * (_norm_pdf(za) - _norm_pdf(zb))
-            c2 = s * s * (p + _z_phi(za) - _z_phi(zb))
             m0 += w * p
-            m1c += w * c1
-            m2c += w * c2
-        return _moments(m0, self.loc * m0 + m1c, self.loc**2 * m0 + 2.0 * self.loc * m1c + m2c)
+            m1 += w * (s * (_norm_pdf(za) - _norm_pdf(zb)))
+            m2 += w * (s * s * (p + _z_phi(za) - _z_phi(zb)))
+        return m0, m1, m2
 
     def scaled(self, rho: float) -> "NormalMixtureLaw":
         if rho == 0.0:
@@ -319,14 +301,7 @@ class StudentTLaw(UnivariateLaw):
         return np.exp(logc - 0.5 * (nu + 1) * np.log1p(np.asarray(x, dtype=float) ** 2 / nu))
 
     def pdf(self, y):
-        x = (np.asarray(y, dtype=float) - self.loc) / self.scale
-        out = self._std_pdf(x) / self.scale
-        return out if np.ndim(y) else float(out)
-
-    def cdf(self, y):
-        x = (np.asarray(y, dtype=float) - self.loc) / self.scale
-        out = _stdtr(self.nu, x)
-        return out if np.ndim(y) else float(out)
+        return self._std_pdf((np.asarray(y, dtype=float) - self.loc) / self.scale) / self.scale
 
     def _g1(self, x):
         # antiderivative of t f(t): -(nu + x^2) f(x) / (nu - 1)
@@ -343,7 +318,7 @@ class StudentTLaw(UnivariateLaw):
         i0 = _cell_mass(lambda x: _stdtr(nu, x), xa, xb)
         i1 = self._g1(xa) - self._g1(xb)
         i2 = self._h2(xb) - self._h2(xa) - nu / (2.0 - nu) * i0
-        return _moments(i0, loc * i0 + s * i1, loc**2 * i0 + 2.0 * loc * s * i1 + s * s * i2)
+        return i0, s * i1, s * s * i2
 
     def scaled(self, rho: float) -> "StudentTLaw":
         if rho == 0.0:
@@ -376,19 +351,14 @@ class UniformLaw(UnivariateLaw):
 
     def pdf(self, y):
         y = np.asarray(y, dtype=float)
-        out = np.where((y >= self.lo) & (y <= self.hi), 1.0 / (self.hi - self.lo), 0.0)
-        return out if out.ndim else float(out)
-
-    def cdf(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.clip((y - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-        return out if out.ndim else float(out)
+        return ((y >= self.lo) & (y <= self.hi)) / (self.hi - self.lo)
 
     def cell_moments(self, a, b):
-        a = np.maximum(np.asarray(a, dtype=float), self.lo)
-        b = np.maximum(np.minimum(np.asarray(b, dtype=float), self.hi), a)  # empty cells have b == a
-        length = self.hi - self.lo
-        return _moments((b - a) / length, (b * b - a * a) / (2.0 * length), (b**3 - a**3) / (3.0 * length))
+        # about the midpoint, each moment the mass times a sum that does not cancel
+        a = np.maximum(np.asarray(a, dtype=float), self.lo) - self.mean
+        b = np.maximum(np.minimum(np.asarray(b, dtype=float), self.hi) - self.mean, a)  # empty cells have b == a
+        m0 = (b - a) / (self.hi - self.lo)
+        return m0, m0 * (a + b) / 2.0, m0 * (a * a + a * b + b * b) / 3.0
 
     def scaled(self, rho: float) -> "UniformLaw":
         if rho == 0.0:

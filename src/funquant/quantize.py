@@ -54,6 +54,8 @@ class PointSet:
         pts = np.array(self.points, dtype=float, copy=True)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ShapeError(f"points must form a non-empty (k, d) matrix, got shape {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise UsageError("points must be finite; found NaN or infinite entries")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -329,13 +331,11 @@ def lloyd(
         rngs = [np.random.Generator(np.random.Philox(s)) for s in np.random.SeedSequence([seed, 1]).spawn(restarts)]
         starts = each(lambda rng: _kmeanspp_init(samples, columns, k, rng), rngs)
     else:
-        init_points = np.asarray(init, dtype=float)
+        init_points = PointSet(init).points
         if init_points.shape != (k, samples.shape[1]):
             raise ShapeError(
                 f"initial points must have shape ({k}, {samples.shape[1]}), got {init_points.shape}"
             )
-        if not np.isfinite(init_points).all():
-            raise UsageError("initial points must be finite; found NaN or infinite entries")
         starts = [init_points]
     local = threading.local()
 
@@ -378,8 +378,8 @@ def _solve_tridiagonal(diagonal: np.ndarray, off: np.ndarray, rhs: np.ndarray) -
 
 
 def _hessian(law: UnivariateLaw, y: np.ndarray):
-    """Masses m0 and first moments m1 of the cells of the sorted points y, and the diagonal and
-    off-diagonal of half the distortion's Hessian (half its gradient is y m0 - m1).
+    """Masses m0 and first moments m1 about the mean of the cells of the sorted points y, and the
+    diagonal and off-diagonal of half the distortion's Hessian (half its gradient is (y - mean) m0 - m1).
 
     With cells cut at the midpoints b of adjacent points, it is m0_j minus
     f(b) (y_{j+1} - y_j) / 4 for each adjacent b on the diagonal, that term off it.
@@ -399,12 +399,12 @@ def _solver_step(law: UnivariateLaw, y: np.ndarray) -> np.ndarray:
     cell's mean) instead."""
     m0, m1, diagonal, coupling = _hessian(law, y)
     try:
-        new = y + _solve_tridiagonal(diagonal, coupling, m1 - y * m0)
+        new = y + _solve_tridiagonal(diagonal, coupling, m1 - (y - law.mean) * m0)
         if np.all(np.diff(new) > 0):
             return new
     except np.linalg.LinAlgError:
         pass
-    return np.divide(m1, m0, out=y.copy(), where=m0 > 1e-300)
+    return law.mean + np.divide(m1, m0, out=y - law.mean, where=m0 > 1e-300)
 
 
 def _escape(law: UnivariateLaw, y: np.ndarray) -> np.ndarray | None:
@@ -523,7 +523,7 @@ def univariate_principal_points(law: UnivariateLaw, k: int) -> np.ndarray:
     tol = 1e-12 * max(float(np.sqrt(law.variance)), 1e-12)
     m0, m1, m2 = _grid_moments(law, k)
     runs = _grid_cuts(m0, m1, m2, k)[:-1]
-    y = np.add.reduceat(m1, runs) / np.add.reduceat(m0, runs)
+    y = law.mean + np.add.reduceat(m1, runs) / np.add.reduceat(m0, runs)
     for _ in range(10):
         for _ in range(500):
             new = _solver_step(law, y)

@@ -330,7 +330,7 @@ class TestStandardizedProjection:
         inner = np.where(np.abs(draws) <= cut, draws**4, 0.0)
         expected = quad(lambda y: y**4 * law.pdf(y), -cut, cut, points=[0.0], limit=200)[0]
         assert abs(inner.mean() - expected) < 4.0 * inner.std() / np.sqrt(draws.size)
-        tail = 2.0 * law.cdf(-cut)
+        tail = 2.0 * law.cell_moments(-np.inf, -cut)[0]
         assert abs(np.mean(np.abs(draws) > cut) - tail) < 4.0 * np.sqrt(tail * (1.0 - tail) / draws.size)
 
 

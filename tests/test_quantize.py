@@ -1,7 +1,6 @@
 import itertools
 import json
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -222,15 +221,6 @@ SWEEP_LAWS = {
 }
 
 
-def centered_distortion(law, points):
-    """E[min_j (Y - y_j)^2] taken on the law less its mean, where the moment sums do not cancel."""
-    if isinstance(law, UniformLaw):
-        centered = UniformLaw(law.lo - law.mean, law.hi - law.mean)
-    else:
-        centered = replace(law, loc=0.0)
-    return centered.expected_sq_distance(np.asarray(points) - law.mean)
-
-
 def brute_force_cuts(m0, m1, m2, k):
     """The least-cost cuts of the cells into k runs with mass, over every set of k - 1 inner cuts."""
     best, best_cuts = np.inf, None
@@ -302,7 +292,7 @@ class TestUnivariateSolver:
     def test_distortion_is_never_above_the_frozen_sweep(self, name):
         law = SWEEP_LAWS[name]
         for k, frozen in zip(oracles.SWEEP_KS, oracles.SWEEP_DISTORTIONS[name]):
-            assert centered_distortion(law, univariate_principal_points(law, k)) <= frozen * (1.0 + 1e-13), k
+            assert law.expected_sq_distance(univariate_principal_points(law, k)) <= frozen * (1.0 + 1e-13), k
 
     @pytest.mark.parametrize("block", [4096, 6])  # 6: blocks of one or two columns, most of them short of rows
     @pytest.mark.parametrize(
@@ -358,6 +348,13 @@ class TestUnivariateSolver:
         # the grid spans the support, so all but its two end cells have mass
         points = univariate_principal_points(UniformLaw(0.0, 1.0), 400)
         np.testing.assert_allclose(points, (np.arange(400) + 0.5) / 400, rtol=0.0, atol=1e-12)
+
+    def test_uniform_far_from_zero_keeps_full_precision(self):
+        # moments about the mean: raw moments about 0 cancel in (b^3 - a^3) / 3 at 1e6
+        law = UniformLaw(1e6, 1e6 + 1.0)
+        points = univariate_principal_points(law, 20)
+        np.testing.assert_allclose(points, 1e6 + (np.arange(20) + 0.5) / 20, rtol=0.0, atol=1e-8)
+        assert law.expected_sq_distance(points) == pytest.approx(1.0 / 4800, rel=1e-9, abs=0.0)
 
     def test_more_points_than_cells_with_mass_rejected(self):
         m0 = np.array([0.0, 0.5, 0.0, 0.5, 0.0])
@@ -936,7 +933,7 @@ class TestKmeansppSeeding:
         np.testing.assert_array_equal(p[0], expected_p[0])
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "call",
     [
@@ -959,7 +956,21 @@ def test_non_finite_samples_rejected(call, bad):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-def test_non_finite_lloyd_start_points_rejected(bad):
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x, p: assign(x, PointSet(p)),
+        lambda x, p: empirical_mse(x, PointSet(p)),
+        lambda x, p: self_consistency_residual(x, PointSet(p)),
+        lambda x, p: quantizer_variable(x, PointSet(p)),
+        lambda x, p: min_distance(x[0], PointSet(p)),
+        lambda x, p: lloyd(x, 2, init=p, max_iter=5),
+        lambda x, p: normal_law().expected_sq_distance(p[:, 0]),
+    ],
+    ids=["assign", "empirical_mse", "self_consistency_residual", "quantizer_variable", "min_distance",
+         "lloyd_start", "expected_sq_distance"],
+)
+def test_non_finite_points_rejected(call, bad):
     draws = np.random.default_rng(35).standard_normal((200, 2))
     with pytest.raises(UsageError, match="finite"):
-        lloyd(draws, 2, init=[[bad, 0.0], [1.0, 0.0]], max_iter=5)
+        call(draws, np.array([[bad, 0.0], [1.0, 0.0]]))
