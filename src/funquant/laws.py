@@ -355,8 +355,8 @@ class UniformLaw(UnivariateLaw):
 
     def cell_moments(self, a, b):
         # about the midpoint, each moment the mass times a sum that does not cancel
-        a = np.maximum(np.asarray(a, dtype=float), self.lo) - self.mean
-        b = np.maximum(np.minimum(np.asarray(b, dtype=float), self.hi) - self.mean, a)  # empty cells have b == a
+        a = np.clip(np.asarray(a, dtype=float), self.lo, self.hi) - self.mean
+        b = np.maximum(np.clip(np.asarray(b, dtype=float), self.lo, self.hi) - self.mean, a)  # empty cells have b == a
         m0 = (b - a) / (self.hi - self.lo)
         return m0, m0 * (a + b) / 2.0, m0 * (a * a + a * b + b * b) / 3.0
 
