@@ -36,14 +36,14 @@ def round12(obj):
     raise TypeError(f"cannot serialise object of type {type(obj)!r}")
 
 
-def atomic_write(path, text: str) -> None:
-    """Write text to ``path`` via a temporary file and rename."""
+def atomic_write(path, text) -> None:
+    """Write a string, or an iterable of strings in turn, to ``path`` via a temporary file and rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            f.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -35,7 +35,7 @@ class CovarianceEstimate:
 
 
 def estimate(samples: np.ndarray) -> CovarianceEstimate:
-    """Moment estimates from an (n, d) coefficient matrix.
+    """Moment estimates from an (n, d) coefficient matrix, holding one centered (n, d) copy of it.
 
     Requires n >= 2.  The eigendecomposition is of the symmetrized
     covariance; eigenvalues below zero (rounding noise, the matrix is a

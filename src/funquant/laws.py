@@ -44,7 +44,7 @@ def _finite_part(term, x: np.ndarray) -> np.ndarray:
 
 
 def _norm_pdf(z: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * z * z) / _SQRT2PI
+    return np.exp(-0.5 * np.square(np.minimum(np.abs(z), 40.0))) / _SQRT2PI  # 0 from |z| = 38.6 on; z^2 stays finite
 
 
 def _z_phi(z: np.ndarray) -> np.ndarray:
@@ -199,8 +199,8 @@ class UnivariateLaw:
             raise UsageError("points must be finite; found NaN or infinite entries")
         mid = (pts[1:] + pts[:-1]) / 2.0
         m0, m1, m2 = self.cell_moments(np.concatenate(([-np.inf], mid)), np.concatenate((mid, [np.inf])))
-        x = pts - self.mean
-        return float(np.sum(m2 - 2.0 * x * m1 + x * x * m0))
+        x = np.where(m0 > 0, pts - self.mean, 0.0)  # a zero-mass cell adds 0; x * x cannot overflow
+        return float(np.sum(np.where(m0 > 0, m2 - 2.0 * x * m1 + x * x * m0, 0.0)))
 
 
 @dataclass(frozen=True)

@@ -196,13 +196,13 @@ class LinearImage:
         return self.mixture.second_moment() * self.shape
 
     def sample(self, n: int, seed: int) -> np.ndarray:
-        """Draw from the image law via a PSD square root of the shape matrix."""
+        """Draw via a PSD square root of the shape matrix: two (n, p) buffers, xi and its image, scaled in place."""
         w, v = np.linalg.eigh(0.5 * (self.shape + self.shape.T))
         factor = v * np.sqrt(np.clip(w, 0.0, None))
         rng_z, rng_xi = _streams(seed)
-        z = self.mixture.sample_z(n, rng_z)
-        xi = rng_xi.standard_normal((n, self.mean.shape[0]))
-        return self.mean + z[:, None] * (xi @ factor.T)
+        draws = rng_xi.standard_normal((n, self.mean.shape[0])) @ factor.T
+        draws *= self.mixture.sample_z(n, rng_z)[:, None]
+        return np.add(draws, self.mean, out=draws)
 
 
 def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -214,7 +214,7 @@ def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
 
 
 def sample(model: EllipticalModel, n: int, seed: int) -> np.ndarray:
-    """Draw n coefficient rows ``mu + Z * (sqrt(lambda) * xi)``.
+    """Draw n coefficient rows ``mu + Z * (sqrt(lambda) * xi)``, built in place in one (n, d) buffer.
 
     Deterministic in ``seed``; Z comes from stream 0 and xi from stream 1
     of the seed's Philox streams, so the two sources never interleave.
@@ -222,9 +222,10 @@ def sample(model: EllipticalModel, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise UsageError(f"sample size must be >= 1, got {n}")
     rng_z, rng_xi = _streams(seed)
-    z = model.mixture.sample_z(n, rng_z)
-    xi = rng_xi.standard_normal((n, model.d))
-    return model.mu + z[:, None] * (np.sqrt(model.lam) * xi)
+    draws = rng_xi.standard_normal((n, model.d))
+    draws *= np.sqrt(model.lam)
+    draws *= model.mixture.sample_z(n, rng_z)[:, None]
+    return np.add(draws, model.mu, out=draws)
 
 
 def covariance_operator(model: EllipticalModel) -> np.ndarray:
@@ -323,11 +324,10 @@ def model_from_dict(payload: dict) -> EllipticalModel:
 
 
 def write_samples_csv(path, samples: np.ndarray) -> None:
-    """Export draws as CSV with header c1..cd, 12 significant digits."""
+    """Export draws as CSV, header c1..cd, 12 significant digits, a row at a time: no buffer beyond ``samples``."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
         raise ShapeError(f"samples must be a 2-d matrix, got shape {samples.shape}")
-    header = ",".join(f"c{i + 1}" for i in range(samples.shape[1]))
-    lines = [header]
-    lines.extend(",".join(fmt12(x) for x in row) for row in samples)
-    atomic_write(path, "\n".join(lines) + "\n")
+    header = ",".join(f"c{i + 1}" for i in range(samples.shape[1])) + "\n"
+    rows = (",".join(map(fmt12, row)) + "\n" for row in samples)
+    atomic_write(path, (line for part in ((header,), rows) for line in part))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,3 +158,17 @@ def test_estimate_json_round_trip(tmp_path):
     )
     write_estimate_json(path, clone)
     assert path.read_bytes() == first
+
+
+def test_estimate_stays_within_one_centered_copy():
+    n, d = 100_000, 16
+    model = EllipticalModel(np.zeros(d), 1.0 / np.arange(1, d + 1), ScaleMixture.student_t(5.0))
+    draws = sample(model, n, seed=0)
+    tracemalloc.start()
+    try:
+        est = estimate(draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.n == n
+    assert peak < 1.25 * n * d * 8  # on top of the draws: the centered copy and (d, d) matrices

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special
@@ -151,6 +153,19 @@ def test_expected_sq_distance_matches_quadrature_oracle(name):
             max_panel=0.2 if name == "uniform" else 1.0,
         )
         assert law.expected_sq_distance(points) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "law, points, expected",
+    [(normal_law(), [0.0, 1e200], 1.0), (UniformLaw(0.0, 1.0), [0.5, 1e160], 1.0 / 12.0)],
+    ids=["normal", "uniform"],
+)
+def test_expected_sq_distance_zero_mass_cell_adds_exactly_zero(law, points, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # x * x of the far point overflowed and met the cell's zero mass
+        value = law.expected_sq_distance(points)
+    assert value == law.expected_sq_distance(points[:1])
+    assert value == pytest.approx(expected, rel=1e-15)
 
 
 def test_expected_sq_distance_far_from_zero_keeps_full_precision():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -24,6 +26,7 @@ from funquant import (
     standardized_projection,
     write_samples_csv,
 )
+from funquant.models import _streams
 
 
 def model(lam, mixture=None, mu=None):
@@ -219,6 +222,58 @@ class TestSampling:
             assert np.linalg.norm(draws.mean(axis=0) - m.mu) < bound
 
 
+def three_array_sample(m, n, seed):
+    """The sampler as one expression with three live (n, d) arrays, the form it had before drawing in place."""
+    rng_z, rng_xi = _streams(seed)
+    z = m.mixture.sample_z(n, rng_z)
+    xi = rng_xi.standard_normal((n, m.d))
+    return m.mu + z[:, None] * (np.sqrt(m.lam) * xi)
+
+
+def three_array_image_sample(image, n, seed):
+    w, v = np.linalg.eigh(0.5 * (image.shape + image.shape.T))
+    factor = v * np.sqrt(np.clip(w, 0.0, None))
+    rng_z, rng_xi = _streams(seed)
+    z = image.mixture.sample_z(n, rng_z)
+    xi = rng_xi.standard_normal((n, image.mean.shape[0]))
+    return image.mean + z[:, None] * (xi @ factor.T)
+
+
+IN_PLACE_MIXTURES = [ScaleMixture.gaussian(), ScaleMixture.student_t(5.0), ScaleMixture.two_point(0.0, 3.0, 0.3)]
+
+
+@pytest.mark.parametrize("mixture", IN_PLACE_MIXTURES, ids=lambda m: m.label())
+@pytest.mark.parametrize("n", [1, 5000])
+@pytest.mark.parametrize("shift", [0.0, 1e8])
+class TestInPlaceSamplersKeepEveryBit:
+    def test_sample(self, mixture, n, shift):
+        m = model([4.0, 1.0, 0.25, 0.0], mixture, mu=[shift, -shift, 0.5, shift])
+        for seed in (0, 7):
+            draws = sample(m, n, seed)
+            assert draws.shape == (n, 4) and draws.flags.c_contiguous
+            assert draws.tobytes() == three_array_sample(m, n, seed).tobytes()
+
+    def test_linear_image_sample(self, mixture, n, shift):
+        m = model([4.0, 1.0, 0.25, 0.0], mixture, mu=[shift, -shift, 0.5, shift])
+        image = push_forward(m, np.random.default_rng(3).normal(size=(3, 4)))
+        for seed in (0, 7):
+            assert image.sample(n, seed).tobytes() == three_array_image_sample(image, n, seed).tobytes()
+
+
+@pytest.mark.parametrize("mixture", IN_PLACE_MIXTURES, ids=lambda m: m.label())
+def test_sample_stays_within_one_buffer(mixture):
+    n, d = 100_000, 16
+    m = model(1.0 / np.arange(1, d + 1), mixture)
+    tracemalloc.start()
+    try:
+        draws = sample(m, n, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws.nbytes == n * d * 8
+    assert peak < 1.25 * n * d * 8  # the three-array expression peaked near 3 n d 8
+
+
 class TestPushForward:
     def test_identity_map(self):
         m = model([3.0, 1.0], mu=[1.0, 2.0])
@@ -388,3 +443,17 @@ def test_samples_csv_format(tmp_path):
     assert len(lines) == 6
     parsed = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
     np.testing.assert_allclose(parsed, draws, rtol=1e-11)
+
+
+def test_samples_csv_is_the_joined_text_and_streams(tmp_path):
+    draws = sample(model([4.0, 1.0, 0.25], ScaleMixture.student_t(5.0), mu=[1e8, 0.5, -1.0]), 10_000, seed=9)
+    path = tmp_path / "samples.csv"
+    tracemalloc.start()
+    try:
+        write_samples_csv(path, draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = ["c1,c2,c3"] + [",".join(format(x, ".12g") for x in row) for row in draws]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert peak < draws.nbytes  # the list of row strings and its joined copy came to about 8 draws.nbytes
