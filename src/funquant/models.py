@@ -324,7 +324,7 @@ def model_from_dict(payload: dict) -> EllipticalModel:
 
 
 def write_samples_csv(path, samples: np.ndarray) -> None:
-    """Export draws as CSV, header c1..cd, 12 significant digits, a row at a time: no buffer beyond ``samples``."""
+    """Export draws as CSV (header c1..cd, 12 significant digits) a row at a time: no (n, d) buffer, no text copy."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
         raise ShapeError(f"samples must be a 2-d matrix, got shape {samples.shape}")

@@ -162,7 +162,7 @@ def test_expected_sq_distance_matches_quadrature_oracle(name):
 )
 def test_expected_sq_distance_zero_mass_cell_adds_exactly_zero(law, points, expected):
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # x * x of the far point overflowed and met the cell's zero mass
+        warnings.simplefilter("error")  # the far point's x * x must not overflow against its cell's zero mass
         value = law.expected_sq_distance(points)
     assert value == law.expected_sq_distance(points[:1])
     assert value == pytest.approx(expected, rel=1e-15)

@@ -223,7 +223,7 @@ class TestSampling:
 
 
 def three_array_sample(m, n, seed):
-    """The sampler as one expression with three live (n, d) arrays, the form it had before drawing in place."""
+    """The sampler's law as one expression with three live (n, d) arrays: the in-place sampler's bitwise reference."""
     rng_z, rng_xi = _streams(seed)
     z = m.mixture.sample_z(n, rng_z)
     xi = rng_xi.standard_normal((n, m.d))
