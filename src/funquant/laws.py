@@ -37,19 +37,14 @@ _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
-def _finite_part(term, x: np.ndarray) -> np.ndarray:
-    """term(x) at finite x, and 0 at +-inf: the limit of every antiderivative term used here."""
-    finite = np.isfinite(x)
-    return np.where(finite, term(np.where(finite, x, 0.0)), 0.0)
-
-
 def _norm_pdf(z: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * np.square(np.minimum(np.abs(z), 40.0))) / _SQRT2PI  # 0 from |z| = 38.6 on; z^2 stays finite
 
 
 def _z_phi(z: np.ndarray) -> np.ndarray:
-    """z * standard normal pdf, with the correct 0 limit at +-inf."""
-    return _finite_part(lambda z: z * _norm_pdf(z), z)
+    """z * standard normal pdf, with the correct 0 limit at +-inf (taken as 0 * pdf(0))."""
+    z = np.where(np.isfinite(z), z, 0.0)
+    return z * _norm_pdf(z)
 
 
 def _cell_mass(cdf, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
@@ -128,9 +123,9 @@ def _t_tail(nu: float, x: float) -> float:
     are formed from r = x^2 / nu, and the prefactor is taken in logs with
     log z = -log1p(r), so neither tail cancels, however large nu is.
     """
-    r = x * x / nu
-    if math.isnan(r):
+    if math.isnan(x):
         return math.nan
+    r = math.inf if abs(x) > 1.34e154 else x * x / nu  # x^2 overflows just past; the tail there is below 3e-309
     if r == 0.0:  # x = 0, or x^2 negligible beside nu
         return 0.5
     if r == math.inf:
@@ -303,21 +298,24 @@ class StudentTLaw(UnivariateLaw):
     def pdf(self, y):
         return self._std_pdf((np.asarray(y, dtype=float) - self.loc) / self.scale) / self.scale
 
-    def _g1(self, x):
-        # antiderivative of t f(t): -(nu + x^2) f(x) / (nu - 1)
-        return _finite_part(lambda x: (self.nu + x * x) * self._std_pdf(x) / (self.nu - 1.0), x)
-
-    def _h2(self, x):
-        # antiderivative piece for t^2 f(t): x (nu + x^2) f(x) / (2 - nu)
-        return _finite_part(lambda x: x * (self.nu + x * x) * self._std_pdf(x) / (2.0 - self.nu), x)
+    def _part(self, x, odd):
+        """-(nu + x^2) f(x) / (nu - 1), the antiderivative of t f(t), or if ``odd`` x (nu + x^2) f(x) / (2 - nu),
+        a piece of that of t^2 f(t); 0 at +-inf.  Past |x| = 1e100, short of where x (nu + x^2) overflows (5.6e102),
+        (nu + x^2) f(x) is c nu exp(-(nu - 1)/2 log1p(x^2/nu)), log1p(x^2/nu) = 2 log|x| - log nu + log1p(nu/x^2)."""
+        nu, far, finite = self.nu, np.abs(x) > 1e100, np.isfinite(x)
+        near, ax = np.where(far, 0.0, x), np.where(far & finite, np.abs(x), 1.0)
+        lead, div = (np.where(finite, x, 0.0), 2.0 - nu) if odd else (1.0, nu - 1.0)
+        log1p = 2.0 * np.log(ax) - math.log(nu) + np.log1p(nu / ax / ax)
+        tail = nu * np.exp(_log_gamma_ratio(nu / 2) - 0.5 * math.log(nu * math.pi) - 0.5 * (nu - 1.0) * log1p)
+        return np.where(finite, np.where(far, lead * tail, lead * (nu + near * near) * self._std_pdf(near)) / div, 0.0)
 
     def cell_moments(self, a, b):
         nu, s, loc = self.nu, self.scale, self.loc
         xa = (np.asarray(a, dtype=float) - loc) / s
         xb = (np.asarray(b, dtype=float) - loc) / s
         i0 = _cell_mass(lambda x: _stdtr(nu, x), xa, xb)
-        i1 = self._g1(xa) - self._g1(xb)
-        i2 = self._h2(xb) - self._h2(xa) - nu / (2.0 - nu) * i0
+        i1 = self._part(xa, False) - self._part(xb, False)
+        i2 = self._part(xb, True) - self._part(xa, True) - nu / (2.0 - nu) * i0
         return i0, s * i1, s * s * i2
 
     def scaled(self, rho: float) -> "StudentTLaw":

@@ -315,7 +315,7 @@ def lloyd(
         raise UsageError(f"tol must be positive, got {tol}")
 
     def each(fn, items):
-        if jobs <= 1:
+        if jobs <= 1 or len(items) == 1:  # one item runs inline: no pool for a single start
             return [fn(item) for item in items]
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, items))

@@ -457,24 +457,24 @@ SUITE_SEQUENCE_SEED3 = [
 ]
 
 
-def _solve(k, seed):
-    return (2000, k, "kmeans++", 1e-10, 5, seed)
+def _solve(k, seed, restarts):
+    return (2000, k, "kmeans++", 1e-10, restarts, seed)
 
 
 _REFIT = (2000, 2, "given", 1e-8, 10, 0)  # unitary_equivariance's single run from given points
 
 # (n, k, init, tol, restarts, seed) of every lloyd call of reference_suite(seed=3, n=2000),
 # in call order: one k=3 fixture (offset 1) and one k=2 fixture (offset 5) per model, each
-# solved when a check first needs it, plus eigen_span's own (offset 4), which the isotropic
-# (1,1,1) models do not get; on the (1,0) models kernel_orthogonality needs the k=2 fixture
-# before eigen_span runs
+# from one start and solved when a check first needs it, plus eigen_span's own (offset 4),
+# the best of 5 starts, which the isotropic (1,1,1) models do not get; on the (1,0) models
+# kernel_orthogonality needs the k=2 fixture before eigen_span runs
 SUITE_SOLVES_SEED3 = [
-    _solve(3, 4), _solve(2, 7), _solve(2, 8), _REFIT,
-    _solve(3, 1004), _solve(2, 1007), _solve(2, 1008), _REFIT,
-    _solve(3, 2004),
-    _solve(3, 3004),
-    _solve(3, 4004), _solve(2, 4008), _solve(2, 4007), _REFIT,
-    _solve(3, 5004), _solve(2, 5008), _solve(2, 5007), _REFIT,
+    _solve(3, 4, 1), _solve(2, 7, 5), _solve(2, 8, 1), _REFIT,
+    _solve(3, 1004, 1), _solve(2, 1007, 5), _solve(2, 1008, 1), _REFIT,
+    _solve(3, 2004, 1),
+    _solve(3, 3004, 1),
+    _solve(3, 4004, 1), _solve(2, 4008, 1), _solve(2, 4007, 5), _REFIT,
+    _solve(3, 5004, 1), _solve(2, 5008, 1), _solve(2, 5007, 5), _REFIT,
 ]
 
 
@@ -566,6 +566,18 @@ class TestReferenceSuite:
         reference_suite(seed=3, n=2000, jobs=2)
         assert [call for call, _ in calls] == SUITE_SOLVES_SEED3
         assert all(jobs == 2 for call, jobs in calls if call[2] == "kmeans++")
+
+    def test_a_fixture_stopped_at_its_step_cap_flags_every_report_on_it(self, monkeypatch, small_suite):
+        import funquant.checks
+
+        assert not any("unconverged-fixture" in r.flags for r in small_suite[0])
+        monkeypatch.setattr(funquant.checks, "_FIXTURE_MAX_ITER", 2)
+        reports = reference_suite(seed=3, n=2000)
+        assert [r.name for r in reports] == [r.name for r in small_suite[0]]
+        for r in reports:
+            on_fixture = "model" in r.params and "k" in r.params and "degenerate-spectrum" not in r.flags
+            assert ("unconverged-fixture" in r.flags) == on_fixture, (r.name, r.params, r.flags)
+            assert not on_fixture or r.flags[-1] == "unconverged-fixture"
 
     def test_every_suite_draw_is_pinned(self, monkeypatch):
         import funquant.checks

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -166,6 +167,38 @@ def test_expected_sq_distance_zero_mass_cell_adds_exactly_zero(law, points, expe
         value = law.expected_sq_distance(points)
     assert value == law.expected_sq_distance(points[:1])
     assert value == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("nu", [2.01, 5.0])
+@pytest.mark.parametrize("x", [1e103, -1e103, 1e155, -1e155, 1e300, -1e300])
+def test_t_moments_stay_finite_past_the_overflow_of_their_antiderivatives(nu, x):
+    # x (nu + x^2) overflows from about 5.6e102 and x * x from 1.3e154, where the pdf has underflowed
+    law = StudentTLaw(nu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m0, m1, m2 = law.cell_moments(np.array([-np.inf, x]), np.array([x, np.inf]))
+    assert np.isfinite([m0, m1, m2]).all()
+    assert m0.sum() == pytest.approx(1.0, rel=1e-15)
+    assert m2.sum() == pytest.approx(law.variance, rel=1e-12)
+    # E[T; T > |x|] = (nu + x^2) f(x) / (nu - 1), with log f from the log-gammas
+    logf = math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2) - 0.5 * math.log(nu * math.pi) - (nu + 1) / 2 * (
+        2 * math.log(abs(x)) - math.log(nu) + math.log1p(nu / x / x))
+    upper = math.exp(2 * math.log(abs(x)) + math.log1p(nu / x / x) + logf) / (nu - 1)
+    assert abs(m1[1 if x > 0 else 0]) == pytest.approx(upper, rel=1e-12, abs=0.0)
+
+
+def test_t_moments_are_continuous_where_they_switch_to_logs():
+    law = StudentTLaw(2.01)
+    below, above = (np.stack(law.cell_moments([x], [np.inf])) for x in (1e100, np.nextafter(1e100, np.inf)))
+    np.testing.assert_allclose(above, below, rtol=1e-12, atol=0.0)
+
+
+def test_t_expected_sq_distance_with_a_far_point_is_the_variance():
+    law = StudentTLaw(5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = law.expected_sq_distance([0.0, 1e200])
+    assert value == pytest.approx(law.variance, rel=1e-12)
 
 
 def test_expected_sq_distance_far_from_zero_keeps_full_precision():

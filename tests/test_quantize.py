@@ -135,6 +135,16 @@ class TestLloyd:
         p3, _ = lloyd(draws, 3, restarts=4, seed=12)
         assert not np.array_equal(p1.points, p3.points)
 
+    @pytest.mark.parametrize("init", ["kmeans++", "given"])
+    def test_single_start_runs_inline_whatever_the_jobs(self, monkeypatch, init):
+        draws = sample(gaussian_model([4.0, 1.0]), 5000, seed=9)
+        start = "kmeans++" if init == "kmeans++" else draws[:3]
+        p1, r1 = lloyd(draws, 3, init=start, restarts=1, seed=11, jobs=1)
+        monkeypatch.setattr(quantize, "ThreadPoolExecutor", lambda *a, **kw: pytest.fail("started a thread pool"))
+        p4, r4 = lloyd(draws, 3, init=start, restarts=1, seed=11, jobs=4)
+        assert p4.points.tobytes() == p1.points.tobytes()
+        assert r4 == r1 and r4.restarts_used == 1
+
     def test_user_supplied_init(self):
         draws = sample(gaussian_model([4.0, 1.0]), 10_000, seed=10)
         start = np.array([[2.0, 0.0], [-2.0, 0.0]])
