@@ -48,18 +48,15 @@ from .estimates import (
     trace_tail,
     write_estimate_json,
 )
-from .laws import NormalMixtureLaw, StudentTLaw, UniformLaw, UnivariateLaw, normal_law
+from .laws import NormalMixtureLaw, StudentTLaw, UniformLaw, UnivariateLaw
 from .models import (
     EllipticalModel,
-    LinearImage,
     ScaleMixture,
     conditional_mean,
     conditional_slope,
     covariance_operator,
     model_from_dict,
-    push_forward,
     sample,
-    standardized_projection,
     write_samples_csv,
 )
 from .quantize import (

@@ -135,7 +135,8 @@ def _parse_scenario(task: str, cfg: dict, args) -> Scenario:
     seed = _numeric(seed, where, int, lambda v: v >= 0, "nonnegative integer")
 
     out = Path(args.out) if args.out else Path(cfg.get("out", "results"))
-    scenario = Scenario(task=task, out=out, seed=seed, jobs=max(1, args.jobs))
+    jobs = _numeric(args.jobs, "--jobs", int, lambda v: v >= 1, "integer >= 1")
+    scenario = Scenario(task=task, out=out, seed=seed, jobs=jobs)
 
     if task in ("simulate", "estimate", "kmeans", "closed-form"):
         _expect("model" in cfg, "config.model: required for this task")

@@ -2,14 +2,13 @@
 
 The covariance uses the 1/n convention so that the mean squared deviation
 from the sample mean equals the trace exactly.  Eigenpairs are reported in
-descending order with a deterministic sign convention, negative eigenvalues
-from rounding are clipped to zero, and nearly equal adjacent eigenvalues
-are flagged so downstream span comparisons can treat them as a block.
+descending order with a deterministic sign convention, and negative
+eigenvalues from rounding are clipped to zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,6 @@ class CovarianceEstimate:
     eigvals: np.ndarray
     eigvecs: np.ndarray
     n: int
-    degenerate_pairs: tuple[tuple[int, int], ...] = field(default=())
 
     def top_eigvecs(self, q: int) -> np.ndarray:
         """Columns spanning the leading q-dimensional eigenspace."""
@@ -57,14 +55,7 @@ def estimate(samples: np.ndarray) -> CovarianceEstimate:
     order = np.argsort(w)[::-1]
     w = np.clip(w[order], 0.0, None)
     v = fix_signs(v[:, order])
-    gaps = w[:-1] - w[1:]
-    degenerate = tuple(
-        (i, i + 1) for i, g in enumerate(gaps) if w[0] > 0 and g < 1e-8 * w[0]
-    )
-    return CovarianceEstimate(
-        mean_hat=mean_hat, cov_hat=cov_hat, eigvals=w, eigvecs=v, n=n,
-        degenerate_pairs=degenerate,
-    )
+    return CovarianceEstimate(mean_hat=mean_hat, cov_hat=cov_hat, eigvals=w, eigvecs=v, n=n)
 
 
 def principal_angles(u: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -37,8 +37,12 @@ _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
+def _gauss(z: np.ndarray) -> np.ndarray:
+    return np.exp(-0.5 * np.square(np.minimum(np.abs(z), 40.0)))  # 0 from |z| = 38.6 on; z^2 stays finite
+
+
 def _norm_pdf(z: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * np.square(np.minimum(np.abs(z), 40.0))) / _SQRT2PI  # 0 from |z| = 38.6 on; z^2 stays finite
+    return _gauss(z) / _SQRT2PI
 
 
 def _z_phi(z: np.ndarray) -> np.ndarray:
@@ -237,7 +241,7 @@ class NormalMixtureLaw(UnivariateLaw):
 
     def pdf(self, y):
         z = np.asarray(y, dtype=float) - self.loc
-        return sum(w * np.exp(-0.5 * (z / s) ** 2) / (_SQRT2PI * s) for w, s in zip(self.weights, self.scales))
+        return sum(w * _gauss(z / s) / (_SQRT2PI * s) for w, s in zip(self.weights, self.scales))
 
     def cell_moments(self, a, b):
         a, b = np.asarray(a, dtype=float) - self.loc, np.asarray(b, dtype=float) - self.loc
@@ -293,7 +297,8 @@ class StudentTLaw(UnivariateLaw):
     def _std_pdf(self, x):
         nu = self.nu
         logc = _log_gamma_ratio(nu / 2) - 0.5 * math.log(nu * math.pi)
-        return np.exp(logc - 0.5 * (nu + 1) * np.log1p(np.asarray(x, dtype=float) ** 2 / nu))
+        x = np.minimum(np.abs(np.asarray(x, dtype=float)), 1e154)  # x^2 stays finite; the density is 0 there
+        return np.exp(logc - 0.5 * (nu + 1) * np.log1p(np.square(x) / nu))
 
     def pdf(self, y):
         return self._std_pdf((np.asarray(y, dtype=float) - self.loc) / self.scale) / self.scale
@@ -301,13 +306,17 @@ class StudentTLaw(UnivariateLaw):
     def _part(self, x, odd):
         """-(nu + x^2) f(x) / (nu - 1), the antiderivative of t f(t), or if ``odd`` x (nu + x^2) f(x) / (2 - nu),
         a piece of that of t^2 f(t); 0 at +-inf.  Past |x| = 1e100, short of where x (nu + x^2) overflows (5.6e102),
-        (nu + x^2) f(x) is c nu exp(-(nu - 1)/2 log1p(x^2/nu)), log1p(x^2/nu) = 2 log|x| - log nu + log1p(nu/x^2)."""
-        nu, far, finite = self.nu, np.abs(x) > 1e100, np.isfinite(x)
-        near, ax = np.where(far, 0.0, x), np.where(far & finite, np.abs(x), 1.0)
+        and wherever f(x) is below the normal floats, (nu + x^2) f(x) is c nu exp(-(nu - 1)/2 log1p(x^2/nu)),
+        with log1p(x^2/nu) = 2 log|x| - log nu + log1p(nu/x^2)."""
+        nu, finite, big = self.nu, np.isfinite(x), np.abs(x) > 1e100
+        near = np.where(big, 0.0, x)
+        pdf = self._std_pdf(near)
+        far = big | (pdf < np.finfo(float).tiny)
+        ax = np.where(far & finite, np.abs(x), 1.0)
         lead, div = (np.where(finite, x, 0.0), 2.0 - nu) if odd else (1.0, nu - 1.0)
         log1p = 2.0 * np.log(ax) - math.log(nu) + np.log1p(nu / ax / ax)
         tail = nu * np.exp(_log_gamma_ratio(nu / 2) - 0.5 * math.log(nu * math.pi) - 0.5 * (nu - 1.0) * log1p)
-        return np.where(finite, np.where(far, lead * tail, lead * (nu + near * near) * self._std_pdf(near)) / div, 0.0)
+        return np.where(finite, np.where(far, lead * tail, lead * (nu + near * near) * pdf) / div, 0.0)
 
     def cell_moments(self, a, b):
         nu, s, loc = self.nu, self.scale, self.loc
@@ -364,7 +373,3 @@ class UniformLaw(UnivariateLaw):
         ends = sorted((rho * self.lo, rho * self.hi))
         return UniformLaw(lo=ends[0], hi=ends[1])
 
-
-def normal_law(mean: float = 0.0, sd: float = 1.0) -> NormalMixtureLaw:
-    """Convenience constructor for a single normal component."""
-    return NormalMixtureLaw(weights=(1.0,), scales=(sd,), loc=mean)

@@ -4,8 +4,7 @@ A model is a mean vector, a descending spectrum for the shape operator in
 its own eigenbasis, and a positive scale variable Z: draws are
 ``mu + Z * (sqrt(lambda_i) * xi_i)_i`` with iid standard normal xi.  The
 covariance operator is ``E(Z^2) * diag(lambda)``, one-dimensional
-projections are scale mixtures of normals, the image under a linear map is
-again elliptical with mapped parameters, and conditional means given a
+projections are scale mixtures of normals, and conditional means given a
 finite-dimensional projection are linear in the conditioning variable.
 
 Randomness is drawn from a counter-based Philox generator with a fixed
@@ -184,27 +183,6 @@ class EllipticalModel:
         return f"{self.mixture.label()}|lam=({lam})"
 
 
-@dataclass(frozen=True)
-class LinearImage:
-    """Parameters of the image of an elliptical element under a linear map."""
-
-    mean: np.ndarray
-    shape: np.ndarray
-    mixture: ScaleMixture
-
-    def covariance(self) -> np.ndarray:
-        return self.mixture.second_moment() * self.shape
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        """Draw via a PSD square root of the shape matrix: two (n, p) buffers, xi and its image, scaled in place."""
-        w, v = np.linalg.eigh(0.5 * (self.shape + self.shape.T))
-        factor = v * np.sqrt(np.clip(w, 0.0, None))
-        rng_z, rng_xi = _streams(seed)
-        draws = rng_xi.standard_normal((n, self.mean.shape[0])) @ factor.T
-        draws *= self.mixture.sample_z(n, rng_z)[:, None]
-        return np.add(draws, self.mean, out=draws)
-
-
 def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     # Stream 0: scale draws Z.  Stream 1: Gaussian coefficients xi.
     # The [seed, 0] entropy tags the sampling domain so other consumers of
@@ -231,17 +209,6 @@ def sample(model: EllipticalModel, n: int, seed: int) -> np.ndarray:
 def covariance_operator(model: EllipticalModel) -> np.ndarray:
     """Covariance operator E(Z^2) * diag(lambda) in the model basis."""
     return model.mixture.second_moment() * np.diag(model.lam)
-
-
-def push_forward(model: EllipticalModel, a: np.ndarray) -> LinearImage:
-    """Parameters (A mu, A diag(lambda) A^T, same mixture) of the image law."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[1] != model.d:
-        raise ShapeError(f"operator must be (p, {model.d}), got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ShapeError("operator entries must be finite")
-    shape = (a * model.lam) @ a.T
-    return LinearImage(mean=a @ model.mu, shape=shape, mixture=model.mixture)
 
 
 def _inverse_spd(mat: np.ndarray, what: str) -> np.ndarray:
@@ -284,21 +251,6 @@ def conditional_mean(model: EllipticalModel, s: SubspaceSplit, w1: np.ndarray) -
     mu1 = s.u_basis @ model.mu
     mu2 = s.complement @ model.mu
     return mu2 + conditional_slope(model, s) @ (w1 - mu1)
-
-
-def standardized_projection(model: EllipticalModel, a: np.ndarray) -> UnivariateLaw:
-    """The law of ``<a, V - mu> / sqrt(Var <a, V>)``.
-
-    For an elliptical element this law does not depend on the direction a;
-    it equals ``Z * xi / sqrt(E(Z^2))``.  Directions with zero variance are
-    rejected.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (model.d,):
-        raise ShapeError(f"direction must have shape ({model.d},), got {a.shape}")
-    if float(a @ (model.lam * a)) <= 0.0:
-        raise DegenerateDirectionError("direction carries zero variance under the model")
-    return model.mixture.standardized_law()
 
 
 def model_from_dict(payload: dict) -> EllipticalModel:

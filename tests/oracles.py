@@ -16,6 +16,8 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.stats import norm as _norm
 
+from funquant import NormalMixtureLaw
+
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(48)
 
 
@@ -193,6 +195,11 @@ def reference_grid_cuts(m0, m1, m2, k):
     for layer in back[::-1]:
         cuts.append(int(layer[cuts[-1]]))
     return (0, *cuts[::-1])
+
+
+def normal_law(mean: float = 0.0, sd: float = 1.0) -> NormalMixtureLaw:
+    """A single normal component: the law the package builds for a gaussian projection, moved to ``mean``."""
+    return NormalMixtureLaw(weights=(1.0,), scales=(sd,), loc=mean)
 
 
 def normal_pdf(y):

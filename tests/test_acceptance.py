@@ -29,7 +29,6 @@ from funquant import (
     empirical_mse,
     g_constant,
     lloyd,
-    normal_law,
     principal_angles,
     random_orthogonal,
     reference_models,
@@ -38,6 +37,7 @@ from funquant import (
 )
 
 import oracles
+from oracles import normal_law
 
 
 def ok(number: int, message: str) -> None:

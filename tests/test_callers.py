@@ -1,7 +1,9 @@
-"""The funquant names that the demos and the benchmark depend on all resolve.
+"""The funquant names that the demos and the benchmark depend on all resolve,
+and every name the package exports is read by some program.
 
 Neither the demos nor ``bench/tracer.py`` run in this suite, so a deleted or
-renamed name they use would otherwise show only when they are run.
+renamed name they use would otherwise show only when they are run.  An
+export that only the tests read is a helper no caller needs.
 """
 
 import ast
@@ -14,6 +16,7 @@ import pytest
 
 ROOT = Path(__file__).parent.parent
 SCRIPTS = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("bench/*.py")])
+PACKAGE = ROOT / "src" / "funquant"
 
 
 def _funquant_names(tree):
@@ -59,3 +62,23 @@ def test_tracer_layer_table_resolves():
     missing = [f"{module}.{attr}" for module, attr, *_ in rows
                if not hasattr(importlib.import_module(f"funquant.{module}"), attr)]
     assert not missing
+
+
+def _reads(tree):
+    """Every name a module reads: loaded names, attribute names, and str constants (``bench/tracer.py``
+    names some functions only as strings)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_export_is_read_by_a_program():
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exports = {alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    programs = [*(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"), *SCRIPTS]
+    read = {name for p in programs for name in _reads(ast.parse(p.read_text(encoding="utf-8")))}
+    assert sorted(exports - read) == []

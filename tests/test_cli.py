@@ -421,6 +421,13 @@ class TestSchemaErrors:
         assert "Traceback" not in result.stderr
         assert "error: config.n: " in result.stderr
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+        cfg = write_config(tmp_path, {"model": MODEL, "task": "kmeans", "n": 50, "k": 2, "seed": 0})
+        assert main(["kmeans", "--config", str(cfg), "--out", str(tmp_path / "o"), f"--jobs={jobs}"]) == 2
+        assert f"error: --jobs: integer >= 1 required, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_integral_float_counts_as_integer(self, tmp_path):
         cfg = write_config(
             tmp_path, {"model": MODEL, "task": "kmeans", "n": 50, "k": 2.0, "max_iter": 5.0, "seed": 0}

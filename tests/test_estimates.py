@@ -75,15 +75,6 @@ def test_mean_squared_deviation_equals_trace():
     assert msd == pytest.approx(np.trace(est.cov_hat), rel=1e-12)
 
 
-def test_degenerate_pair_flagging():
-    # exactly isotropic empirical covariance
-    draws = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    est = estimate(draws)
-    assert est.degenerate_pairs == ((0, 1),)
-    # a clearly gapped spectrum carries no flags
-    assert estimate(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 0.5]])).degenerate_pairs == ()
-
-
 def test_top_eigenvalue_error_shrinks_with_n():
     model = EllipticalModel(
         mu=np.zeros(3), lam=np.array([4.0, 1.0, 0.25]), mixture=ScaleMixture.gaussian()

@@ -6,10 +6,10 @@ import pytest
 from scipy import special
 from scipy.integrate import quad, trapezoid
 
-from funquant import ConfigError, NormalMixtureLaw, StudentTLaw, UniformLaw, UsageError, normal_law
-from funquant.laws import _ndtr, _stdtr
+from funquant import ConfigError, NormalMixtureLaw, StudentTLaw, UniformLaw, UsageError
+from funquant.laws import _log_gamma_ratio, _ndtr, _stdtr
 
-from oracles import quantization_objective
+from oracles import normal_law, quantization_objective
 
 LAWS = {
     "normal": normal_law(),
@@ -187,10 +187,63 @@ def test_t_moments_stay_finite_past_the_overflow_of_their_antiderivatives(nu, x)
     assert abs(m1[1 if x > 0 else 0]) == pytest.approx(upper, rel=1e-12, abs=0.0)
 
 
+def _first_float_with_subnormal_density(law):
+    """The least x > 1 at which ``law.pdf`` is below the normal floats, by bisection on the float grid."""
+    lo, hi = map(int, np.array([1.0, 1e100]).view(np.int64))  # Python ints: the midpoint's sum must not overflow
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if law.pdf(np.int64(mid).view(float)) < np.finfo(float).tiny else (mid, hi)
+    return np.int64(hi).view(float)
+
+
 def test_t_moments_are_continuous_where_they_switch_to_logs():
     law = StudentTLaw(2.01)
     below, above = (np.stack(law.cell_moments([x], [np.inf])) for x in (1e100, np.nextafter(1e100, np.inf)))
     np.testing.assert_allclose(above, below, rtol=1e-12, atol=0.0)
+    for nu in (3.0, 5.0):  # and where the density leaves the normal floats
+        law = StudentTLaw(nu)
+        switch = _first_float_with_subnormal_density(law)
+        below, above = (np.stack(law.cell_moments([x], [np.inf])) for x in (np.nextafter(switch, 0.0), switch))
+        np.testing.assert_allclose(above, below, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("nu, a", [(3.0, 1e99), (5.0, 1e60)])
+def test_far_t_cells_keep_their_digits_where_the_density_underflows(nu, a):
+    # (nu + a^2) f(a) = nu exp(log c - (nu - 1)/2 log1p(a^2 / nu)), with c from the log-gammas; f(a) itself is 0
+    m0, m1, m2 = StudentTLaw(nu).cell_moments([a], [np.inf])
+    log_c = math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2) - 0.5 * math.log(nu * math.pi)
+    front = nu * math.exp(log_c - 0.5 * (nu - 1) * math.log1p(a * a / nu))
+    assert m1[0] == pytest.approx(front / (nu - 1), rel=1e-12, abs=0.0)
+    assert m2[0] == pytest.approx((a * front + nu * special.stdtr(nu, -a)) / (nu - 2), rel=1e-12, abs=0.0)
+
+
+FAR = [1e155, -1e155, 1e200, -1e200, 1e300, -1e300]
+DENSITY_LAWS = [StudentTLaw(5.0), StudentTLaw(2.5, scale=0.5, loc=1.0), normal_law(),
+                NormalMixtureLaw(weights=(0.3, 0.7), scales=(1.0, 3.0), loc=-2.0)]
+
+
+@pytest.mark.parametrize("law", DENSITY_LAWS, ids=["t5", "t2.5-scaled", "normal", "two_scale_mixture"])
+def test_densities_are_zero_far_out_without_a_warning(law):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert law.pdf(FAR).tolist() == [0.0] * len(FAR)
+
+
+@pytest.mark.parametrize("law", DENSITY_LAWS, ids=["t5", "t2.5-scaled", "normal", "two_scale_mixture"])
+def test_densities_keep_the_bits_of_their_unclamped_expressions(law):
+    core = np.linspace(-60.0, 60.0, 200_001)
+    wide = np.logspace(-300.0, 300.0, 20_001)
+    y = law.mean + np.concatenate([core, wide, -wide, [0.0, -0.0, 38.6, -38.6, 40.0, -40.0, 1e150, -1e150]])
+    with np.errstate(over="ignore"):
+        if isinstance(law, StudentTLaw):
+            x = (y - law.loc) / law.scale
+            logc = _log_gamma_ratio(law.nu / 2) - 0.5 * math.log(law.nu * math.pi)
+            old = np.exp(logc - 0.5 * (law.nu + 1) * np.log1p(x ** 2 / law.nu)) / law.scale
+        else:
+            z = y - law.loc
+            old = sum(w * np.exp(-0.5 * (z / s) ** 2) / (math.sqrt(2.0 * math.pi) * s)
+                      for w, s in zip(law.weights, law.scales))
+    assert law.pdf(y).tobytes() == old.tobytes()
 
 
 def test_t_expected_sq_distance_with_a_far_point_is_the_variance():

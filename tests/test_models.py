@@ -6,11 +6,9 @@ from scipy.integrate import quad
 
 from funquant import (
     ConfigError,
-    DegenerateDirectionError,
     EllipticalModel,
     NormalMixtureLaw,
     ScaleMixture,
-    ShapeError,
     SingularityError,
     StudentTLaw,
     SubspaceSplit,
@@ -20,10 +18,8 @@ from funquant import (
     conditional_slope,
     covariance_operator,
     model_from_dict,
-    push_forward,
     random_orthogonal,
     sample,
-    standardized_projection,
     write_samples_csv,
 )
 from funquant.models import _streams
@@ -230,15 +226,6 @@ def three_array_sample(m, n, seed):
     return m.mu + z[:, None] * (np.sqrt(m.lam) * xi)
 
 
-def three_array_image_sample(image, n, seed):
-    w, v = np.linalg.eigh(0.5 * (image.shape + image.shape.T))
-    factor = v * np.sqrt(np.clip(w, 0.0, None))
-    rng_z, rng_xi = _streams(seed)
-    z = image.mixture.sample_z(n, rng_z)
-    xi = rng_xi.standard_normal((n, image.mean.shape[0]))
-    return image.mean + z[:, None] * (xi @ factor.T)
-
-
 IN_PLACE_MIXTURES = [ScaleMixture.gaussian(), ScaleMixture.student_t(5.0), ScaleMixture.two_point(0.0, 3.0, 0.3)]
 
 
@@ -253,12 +240,6 @@ class TestInPlaceSamplersKeepEveryBit:
             assert draws.shape == (n, 4) and draws.flags.c_contiguous
             assert draws.tobytes() == three_array_sample(m, n, seed).tobytes()
 
-    def test_linear_image_sample(self, mixture, n, shift):
-        m = model([4.0, 1.0, 0.25, 0.0], mixture, mu=[shift, -shift, 0.5, shift])
-        image = push_forward(m, np.random.default_rng(3).normal(size=(3, 4)))
-        for seed in (0, 7):
-            assert image.sample(n, seed).tobytes() == three_array_image_sample(image, n, seed).tobytes()
-
 
 @pytest.mark.parametrize("mixture", IN_PLACE_MIXTURES, ids=lambda m: m.label())
 def test_sample_stays_within_one_buffer(mixture):
@@ -272,46 +253,6 @@ def test_sample_stays_within_one_buffer(mixture):
         tracemalloc.stop()
     assert draws.nbytes == n * d * 8
     assert peak < 1.25 * n * d * 8  # the three-array expression peaked near 3 n d 8
-
-
-class TestPushForward:
-    def test_identity_map(self):
-        m = model([3.0, 1.0], mu=[1.0, 2.0])
-        image = push_forward(m, np.eye(2))
-        np.testing.assert_array_equal(image.mean, m.mu)
-        np.testing.assert_array_equal(image.shape, np.diag([3.0, 1.0]))
-        assert image.mixture == m.mixture
-
-    def test_first_row_selector(self):
-        image = push_forward(model([3.0, 1.0]), np.array([[1.0, 0.0]]))
-        np.testing.assert_array_equal(image.shape, [[3.0]])
-
-    def test_rejects_bad_operator(self):
-        with pytest.raises(ShapeError):
-            push_forward(model([1.0, 1.0]), np.ones((2, 3)))
-        with pytest.raises(ShapeError):
-            push_forward(model([1.0, 1.0]), np.array([[np.nan, 0.0]]))
-
-    @pytest.mark.parametrize("mixture", [ScaleMixture.gaussian(), ScaleMixture.student_t(6.0)])
-    def test_mapped_moments_match_image_samples(self, mixture):
-        m = model([2.0, 1.0, 0.5], mixture, mu=[0.5, 0.0, -0.5])
-        a = np.array([[1.0, 1.0, 0.0], [0.0, 0.5, -1.0]])
-        image = push_forward(m, a)
-        n = 50_000
-        mapped = sample(m, n, seed=40) @ a.T
-        direct = image.sample(n, seed=41)
-
-        se_mean = np.sqrt(batched_se(mapped) ** 2 + batched_se(direct) ** 2)
-        assert np.all(np.abs(mapped.mean(axis=0) - direct.mean(axis=0)) < 4 * se_mean)
-
-        for i in range(2):
-            for j in range(2):
-                pm = (mapped[:, i] - mapped[:, i].mean()) * (mapped[:, j] - mapped[:, j].mean())
-                pd = (direct[:, i] - direct[:, i].mean()) * (direct[:, j] - direct[:, j].mean())
-                se = np.sqrt(batched_se(pm[:, None])[0] ** 2 + batched_se(pd[:, None])[0] ** 2)
-                assert abs(pm.mean() - pd.mean()) < 4 * se
-
-        np.testing.assert_allclose(image.covariance(), (a * m.lam * mixture.second_moment()) @ a.T)
 
 
 class TestConditionalMean:
@@ -360,23 +301,13 @@ class TestConditionalMean:
 
 class TestStandardizedProjection:
     def test_gaussian_gives_standard_normal(self):
-        law = standardized_projection(model([4.0, 1.0]), np.array([1.0, 0.0]))
+        law = ScaleMixture.gaussian().standardized_law()
         assert law == NormalMixtureLaw(weights=(1.0,), scales=(1.0,))
         assert law.variance == pytest.approx(1.0)
 
-    def test_direction_independent(self):
-        m = model([4.0, 1.0], ScaleMixture.student_t(7.0))
-        a = np.array([1.0, 0.0])
-        b = np.array([0.6, 0.8])
-        assert standardized_projection(m, a) == standardized_projection(m, b)
-
-    def test_zero_variance_direction_rejected(self):
-        with pytest.raises(DegenerateDirectionError):
-            standardized_projection(model([1.0, 0.0]), np.array([0.0, 1.0]))
-
     def test_t5_sample_kurtosis(self):
         m = model([1.0], ScaleMixture.student_t(5.0))
-        law = standardized_projection(m, np.array([1.0]))
+        law = m.mixture.standardized_law()
         draws = sample(m, 1_000_000, 10)[:, 0] / np.sqrt(m.mixture.second_moment())
         # a t5 has no 8th moment, so the raw sample kurtosis has no standard
         # error (at this n it reads a median 8.0 over seeds, against 9): the

@@ -23,16 +23,15 @@ from funquant import (
     g_constant,
     lloyd,
     min_distance,
-    normal_law,
     quantizer_variable,
     sample,
     self_consistency_residual,
-    standardized_projection,
     univariate_principal_points,
     write_pointset_json,
 )
 
 import oracles
+from oracles import normal_law
 from funquant import quantize
 
 
@@ -495,19 +494,19 @@ class TestGConstant:
         assert g == pytest.approx(1.0 - 2.0 / np.pi, abs=1e-9)
 
     def test_direction_independent(self):
-        model = EllipticalModel(
-            mu=np.zeros(3), lam=np.array([4.0, 1.0, 0.25]), mixture=ScaleMixture.student_t(5.0)
-        )
-        rng = np.random.default_rng(18)
-        values = []
-        for _ in range(10):
-            a = rng.standard_normal(3)
-            a /= np.linalg.norm(a)
-            law = standardized_projection(model, a)
-            pts = univariate_principal_points(law, 2)
-            values.append(law.expected_sq_distance(pts) / law.variance)
-        assert max(values) - min(values) < 1e-6
-        assert values[0] == pytest.approx(g_constant(model), abs=1e-9)
+        # each direction a has its own projection law, of scale sqrt(a . Lambda a); D / Var must not move
+        for mixture in (ScaleMixture.student_t(5.0), ScaleMixture.gaussian(), ScaleMixture.two_point(1.0, 3.0, 0.3)):
+            model = EllipticalModel(mu=np.zeros(3), lam=np.array([4.0, 1.0, 0.25]), mixture=mixture)
+            rng = np.random.default_rng(18)
+            values = []
+            for _ in range(10):
+                a = rng.standard_normal(3)
+                a /= np.linalg.norm(a)
+                law = mixture.projection_law(np.sqrt(a @ (model.lam * a)))
+                pts = univariate_principal_points(law, 2)
+                values.append(law.expected_sq_distance(pts) / law.variance)
+            assert max(values) - min(values) < 1e-12
+            assert values[0] == pytest.approx(g_constant(model), abs=1e-9)
 
     def test_unit_two_point_mixture_matches_gaussian(self):
         g_two = g_constant(
