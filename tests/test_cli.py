@@ -428,6 +428,15 @@ class TestSchemaErrors:
         assert f"error: --jobs: integer >= 1 required, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("jobs", ["1.5", "two"])
+    def test_jobs_not_an_integer_exits_2(self, tmp_path, capsys, jobs):
+        cfg = write_config(tmp_path, {"model": MODEL, "task": "kmeans", "n": 50, "k": 2, "seed": 0})
+        with pytest.raises(SystemExit) as exc:
+            main(["kmeans", "--config", str(cfg), "--out", str(tmp_path / "o"), f"--jobs={jobs}"])
+        assert exc.value.code == 2
+        assert f"argument --jobs: invalid int value: '{jobs}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_integral_float_counts_as_integer(self, tmp_path):
         cfg = write_config(
             tmp_path, {"model": MODEL, "task": "kmeans", "n": 50, "k": 2.0, "max_iter": 5.0, "seed": 0}

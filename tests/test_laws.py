@@ -207,13 +207,28 @@ def test_t_moments_are_continuous_where_they_switch_to_logs():
         np.testing.assert_allclose(above, below, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("nu, a", [(3.0, 1e99), (5.0, 1e60)])
-def test_far_t_cells_keep_their_digits_where_the_density_underflows(nu, a):
-    # (nu + a^2) f(a) = nu exp(log c - (nu - 1)/2 log1p(a^2 / nu)), with c from the log-gammas; f(a) itself is 0
-    m0, m1, m2 = StudentTLaw(nu).cell_moments([a], [np.inf])
+def _far_t_front(nu, a):
+    """(nu + a^2) f(a) = nu exp(log c - (nu - 1)/2 log1p(a^2 / nu)), with c from the log-gammas; f(a) itself is 0."""
     log_c = math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2) - 0.5 * math.log(nu * math.pi)
-    front = nu * math.exp(log_c - 0.5 * (nu - 1) * math.log1p(a * a / nu))
+    return nu * math.exp(log_c - 0.5 * (nu - 1) * math.log1p(a * a / nu))
+
+
+FAR_T_CELLS = [(3.0, 1e99), (5.0, 1e60), (2.5, 1e99), (4.0, 1e80)]
+
+
+@pytest.mark.parametrize("nu, a", FAR_T_CELLS)
+def test_far_t_cells_keep_their_digits_where_the_density_underflows(nu, a):
+    m0, m1, m2 = StudentTLaw(nu).cell_moments([a], [np.inf])
+    front = _far_t_front(nu, a)
     assert m1[0] == pytest.approx(front / (nu - 1), rel=1e-12, abs=0.0)
+    assert m2[0] == pytest.approx((a * front + nu * special.stdtr(nu, -a)) / (nu - 2), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("nu, a", FAR_T_CELLS[:2])
+def test_far_lower_t_cells_mirror_the_upper_ones(nu, a):
+    m0, m1, m2 = StudentTLaw(nu).cell_moments([-np.inf], [-a])
+    front = _far_t_front(nu, a)
+    assert m1[0] == pytest.approx(-front / (nu - 1), rel=1e-12, abs=0.0)
     assert m2[0] == pytest.approx((a * front + nu * special.stdtr(nu, -a)) / (nu - 2), rel=1e-12, abs=0.0)
 
 

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from funquant import (
     ConfigError,
+    DegenerateDirectionError,
     EllipticalModel,
     NormalMixtureLaw,
     ScaleMixture,
@@ -304,6 +305,22 @@ class TestStandardizedProjection:
         law = ScaleMixture.gaussian().standardized_law()
         assert law == NormalMixtureLaw(weights=(1.0,), scales=(1.0,))
         assert law.variance == pytest.approx(1.0)
+
+    def test_direction_independent(self):
+        # the projection on a has scale sqrt(a . Lambda a); brought to unit variance, every direction gives one law
+        m = model([4.0, 1.0], ScaleMixture.student_t(7.0))
+        target = m.mixture.standardized_law()
+        for a in (np.array([1.0, 0.0]), np.array([0.6, 0.8])):
+            law = m.mixture.projection_law(np.sqrt(a @ (m.lam * a)))
+            law = law.scaled(1.0 / np.sqrt(law.variance))
+            assert (law.nu, law.loc) == (target.nu, target.loc)
+            assert law.scale == pytest.approx(target.scale, rel=1e-15)
+
+    def test_zero_variance_direction_rejected(self):
+        m = model([1.0, 0.0])
+        a = np.array([0.0, 1.0])
+        with pytest.raises(DegenerateDirectionError):
+            m.mixture.projection_law(np.sqrt(a @ (m.lam * a)))
 
     def test_t5_sample_kurtosis(self):
         m = model([1.0], ScaleMixture.student_t(5.0))
