@@ -213,8 +213,10 @@ def _run_simulate(scenario: Scenario) -> int:
 
 
 def _run_estimate(scenario: Scenario) -> int:
-    draws = sample(scenario.model, scenario.n, scenario.seed)
-    est = estimate(draws)
+    try:  # n and seed are checked already, so draws or second moments beyond float64 come from the model
+        est = estimate(sample(scenario.model, scenario.n, scenario.seed))
+    except UsageError as exc:
+        raise ConfigError(f"config.model: {exc}") from exc
     path = scenario.out / "estimate.json"
     write_estimate_json(path, est)
     print(f"wrote {path}")
@@ -223,15 +225,11 @@ def _run_estimate(scenario: Scenario) -> int:
 
 def _run_kmeans(scenario: Scenario) -> int:
     draws = sample(scenario.model, scenario.n, scenario.seed)
-    points, report = lloyd(
-        draws,
-        scenario.k,
-        tol=scenario.tol,
-        max_iter=scenario.max_iter,
-        restarts=scenario.restarts,
-        seed=scenario.seed,
-        jobs=scenario.jobs,
-    )
+    try:  # the scenario's k, tol, restarts and jobs are checked already; only the model's scale is left
+        points, report = lloyd(draws, scenario.k, tol=scenario.tol, max_iter=scenario.max_iter,
+                               restarts=scenario.restarts, seed=scenario.seed, jobs=scenario.jobs)
+    except UsageError as exc:
+        raise ConfigError(f"config.model: {exc}") from exc
     if not math.isfinite(report.self_consistency_residual):  # a domain stayed empty
         raise SingularityError(f"config.k: the draws have fewer than k={scenario.k} distinct rows")
     return _write_points(scenario, points, report.final_mse, report.self_consistency_residual,

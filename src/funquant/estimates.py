@@ -33,13 +33,14 @@ class CovarianceEstimate:
 
 
 def estimate(samples: np.ndarray) -> CovarianceEstimate:
-    """Moment estimates from an (n, d) coefficient matrix, holding one centered (n, d) copy of it.
+    """Moment estimates from an (n, d) coefficient matrix, which it consumes by centring it in place.
 
-    Requires n >= 2.  The eigendecomposition is of the symmetrized
-    covariance; eigenvalues below zero (rounding noise, the matrix is a
-    Gram matrix) are clipped to 0.
+    A writeable float64 ``samples`` holds ``samples - mean_hat`` afterwards; pass ``samples.copy()``
+    to keep the draws.  Any other input is copied once and left unchanged.  Requires n >= 2.  The
+    eigendecomposition is of the symmetrized covariance; eigenvalues below zero (rounding noise,
+    the matrix is a Gram matrix) are clipped to 0.
     """
-    samples = np.asarray(samples, dtype=float)
+    samples = np.require(samples, dtype=float, requirements="W")
     if samples.ndim != 2:
         raise ShapeError(f"samples must be a 2-d matrix, got shape {samples.shape}")
     n = samples.shape[0]
@@ -48,8 +49,10 @@ def estimate(samples: np.ndarray) -> CovarianceEstimate:
     if not np.isfinite(samples).all():
         raise UsageError("samples must be finite; found NaN or infinite entries")
     mean_hat = samples.mean(axis=0)
-    centered = samples - mean_hat
+    centered = np.subtract(samples, mean_hat, out=samples)
     cov_hat = (centered.T @ centered) / n
+    if not np.isfinite(cov_hat).all():
+        raise UsageError("the samples' second moments overflow float64")
     cov_hat = 0.5 * (cov_hat + cov_hat.T)
     w, v = np.linalg.eigh(cov_hat)
     order = np.argsort(w)[::-1]

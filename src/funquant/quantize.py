@@ -253,6 +253,8 @@ def _kmeanspp_init(samples: np.ndarray, columns: np.ndarray, k: int, rng: np.ran
         for column, c in zip(columns, samples[chosen[-1]]):
             dist += np.square(np.subtract(column, c, out=term), out=term)
         total = np.minimum(d2, dist, out=d2).sum()
+        if not np.isfinite(total):
+            raise UsageError("the samples' squared distances overflow float64")
         # with every distance zero, the lowest row not yet chosen
         idx = int(rng.choice(n, p=d2 / total)) if total > 0.0 else next(i for i in range(n) if i not in chosen)
         chosen.append(idx)

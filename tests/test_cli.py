@@ -421,6 +421,17 @@ class TestSchemaErrors:
         assert "Traceback" not in result.stderr
         assert "error: config.n: " in result.stderr
 
+    @pytest.mark.parametrize("task, artifact", [("estimate", "estimate.json"), ("kmeans", "pointset.json")])
+    def test_second_moments_beyond_float64_exit_2(self, tmp_path, task, artifact):
+        # finite draws of about 3e153 whose squares, summed over the rows, overflow float64
+        model = {"d": 2, "mu": [0.0, 0.0], "lambda": [1e307, 1.0], "mixture": {"kind": "student_t", "nu": 5.0}}
+        cfg = write_config(tmp_path, {"model": model, "task": task, "n": 1000, "k": 3, "seed": 1})
+        result = run_cli(task, "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "error: config.model: " in result.stderr
+        assert not (tmp_path / "o" / artifact).exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
         cfg = write_config(tmp_path, {"model": MODEL, "task": "kmeans", "n": 50, "k": 2, "seed": 0})

@@ -10,12 +10,15 @@ from funquant import (
     InsufficientDataError,
     ScaleMixture,
     ShapeError,
+    UsageError,
     estimate,
     principal_angles,
     sample,
     trace_tail,
     write_estimate_json,
 )
+from funquant.basis import fix_signs
+from funquant.cli import main
 
 
 def test_hand_computed_two_sample_estimate():
@@ -70,8 +73,8 @@ def test_estimate_structural_invariants():
 def test_mean_squared_deviation_equals_trace():
     rng = np.random.default_rng(0)
     draws = rng.standard_normal((500, 3)) * [2.0, 1.0, 0.5]
-    est = estimate(draws)
-    msd = ((draws - est.mean_hat) ** 2).sum(axis=1).mean()
+    est = estimate(draws)  # consumes the draws: they are centred in place
+    msd = (draws**2).sum(axis=1).mean()
     assert msd == pytest.approx(np.trace(est.cov_hat), rel=1e-12)
 
 
@@ -151,7 +154,7 @@ def test_estimate_json_round_trip(tmp_path):
     assert path.read_bytes() == first
 
 
-def test_estimate_stays_within_one_centered_copy():
+def test_estimate_makes_no_copy_of_the_draws():
     n, d = 100_000, 16
     model = EllipticalModel(np.zeros(d), 1.0 / np.arange(1, d + 1), ScaleMixture.student_t(5.0))
     draws = sample(model, n, seed=0)
@@ -162,4 +165,82 @@ def test_estimate_stays_within_one_centered_copy():
     finally:
         tracemalloc.stop()
     assert est.n == n
-    assert peak < 1.25 * n * d * 8  # on top of the draws: the centered copy and (d, d) matrices
+    assert peak < 0.25 * n * d * 8  # on top of the draws: the (n, d) finiteness mask and (d, d) matrices
+
+
+def test_cli_estimate_holds_one_copy_of_the_draws(tmp_path):
+    # the fpca-d64 benchmark's estimate size: the draws themselves are n * d * 8 bytes
+    n, d = 50_000, 64
+    model = {"d": d, "mu": [0.0] * d, "lambda": [1.0 / (i * i) for i in range(1, d + 1)],
+             "mixture": {"kind": "student_t", "nu": 5.0}}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"task": "estimate", "model": model, "n": n, "seed": 123}))
+    tracemalloc.start()
+    try:
+        code = main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1.25 * n * d * 8
+
+
+def two_copy_estimate(samples):
+    """The moments and eigenpairs as ``estimate`` computed them from a centred copy of its input."""
+    samples = np.asarray(samples, dtype=float)
+    mean_hat = samples.mean(axis=0)
+    centered = samples - mean_hat
+    cov_hat = (centered.T @ centered) / samples.shape[0]
+    cov_hat = 0.5 * (cov_hat + cov_hat.T)
+    w, v = np.linalg.eigh(cov_hat)
+    order = np.argsort(w)[::-1]
+    return mean_hat, cov_hat, np.clip(w[order], 0.0, None), fix_signs(v[:, order])
+
+
+def assert_same_bits(est, expected):
+    for got, want in zip((est.mean_hat, est.cov_hat, est.eigvals, est.eigvecs), expected):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestConsumedSamples:
+    @pytest.mark.parametrize(
+        "model, n",
+        [
+            (EllipticalModel(np.zeros(64), 1.0 / np.arange(1, 65) ** 2, ScaleMixture.student_t(5.0)), 50_000),
+            (EllipticalModel(np.full(3, 1e8), np.array([4.0, 1.0, 0.25]), ScaleMixture.gaussian()), 20_000),
+            (EllipticalModel(np.zeros(4), np.array([3.0, 2.0, 1.0, 0.5]), ScaleMixture.two_point(1.0, 3.0, 0.3)),
+             20_000),
+        ],
+        ids=["t5-d64", "gaussian-mu1e8", "two-point-d4"],
+    )
+    def test_estimate_keeps_the_bits_of_a_centred_copy(self, model, n):
+        draws = sample(model, n, seed=123)
+        x0 = draws.copy()
+        est = estimate(draws)
+        assert_same_bits(est, two_copy_estimate(x0))
+        assert draws.tobytes() == (x0 - est.mean_hat).tobytes()
+
+    @pytest.mark.parametrize("kind", ["read-only", "list", "int"])
+    def test_inputs_it_cannot_write_are_copied_and_kept(self, kind):
+        rng = np.random.default_rng(4)
+        if kind == "int":
+            x = rng.integers(-1000, 1000, size=(500, 3))
+        else:
+            x = rng.standard_normal((500, 3)) * [2.0, 1.0, 0.5] + 7.0
+        if kind == "read-only":
+            x.setflags(write=False)
+        x0 = x.copy()
+        given = x.tolist() if kind == "list" else x
+        est = estimate(given)
+        assert_same_bits(est, two_copy_estimate(x0))
+        if kind == "list":
+            assert given == x0.tolist()
+        else:
+            assert x.dtype == x0.dtype and x.tobytes() == x0.tobytes()
+
+    def test_second_moments_beyond_float64_raise(self):
+        draws = np.zeros((1000, 2))
+        draws[::2, 0], draws[1::2, 0] = 1.5e153, -1.5e153  # finite draws whose Gram sum overflows
+        with np.errstate(over="ignore"), pytest.raises(UsageError, match="overflow"):
+            estimate(draws)

@@ -89,7 +89,7 @@ class TestAssign:
 class TestEmpiricalMse:
     def test_mean_point_gives_trace(self):
         draws = sample(gaussian_model([2.0, 1.0]), 5000, seed=3)
-        est = estimate(draws)
+        est = estimate(draws.copy())
         mse = empirical_mse(draws, PointSet(est.mean_hat[None, :]))
         assert mse == pytest.approx(np.trace(est.cov_hat), rel=1e-12)
 
@@ -983,3 +983,10 @@ def test_non_finite_points_rejected(call, bad):
     draws = np.random.default_rng(35).standard_normal((200, 2))
     with pytest.raises(UsageError, match="finite"):
         call(draws, np.array([[bad, 0.0], [1.0, 0.0]]))
+
+
+def test_kmeanspp_squared_distances_beyond_float64_raise():
+    draws = np.zeros((1000, 2))
+    draws[::2, 0], draws[1::2, 0] = 1.5e153, -1.5e153  # finite draws whose squared distances sum past float64
+    with np.errstate(over="ignore"), pytest.raises(UsageError, match="overflow"):
+        lloyd(draws, 3, restarts=1)
