@@ -26,7 +26,7 @@ print()
 print(f"{'n':>8}  {'top eigval':>10}  {'rel err':>8}  {'angle to e1 (rad)':>18}")
 for n in (500, 5_000, 50_000, 200_000):
     est = estimate(sample(model, n, seed=3))
-    angle = principal_angles(est.top_eigvecs(1), np.eye(4)[:, :1])[0]
+    angle = principal_angles(est.eigvecs[:, :1], np.eye(4)[:, :1])[0]
     rel = abs(est.eigvals[0] / (scaling * lam[0]) - 1.0)
     print(f"{n:>8}  {est.eigvals[0]:>10.4f}  {rel:>8.4f}  {angle:>18.5f}")
 

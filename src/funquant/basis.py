@@ -62,15 +62,6 @@ class Basis:
             return c.copy()
         return self.design_matrix() @ c
 
-    def gram(self) -> np.ndarray:
-        """Gram matrix of the basis evaluated on its grid, via trapezoidal quadrature."""
-        if self.family == SYNTHETIC:
-            return np.eye(self.dimension)
-        t = self.grid
-        phi = self.design_matrix()
-        f = phi[:, :, None] * phi[:, None, :]
-        return (np.diff(t)[:, None, None] * (f[1:] + f[:-1])).sum(axis=0) / 2.0
-
 
 def make_basis(family: str, dimension: int, grid=None) -> Basis:
     """The evaluable orthonormal basis of ``family`` truncated at ``dimension``.

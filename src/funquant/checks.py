@@ -194,28 +194,23 @@ def _has_gap(lam: np.ndarray, q: int = 1) -> bool:
     return float(lam[q - 1] - lam[q]) / top >= 1e-3
 
 
-def check_eigen_span(
-    samples: np.ndarray, w: PointSet, model: EllipticalModel, q_expected: int,
-    rotation: np.ndarray | None = None,
-) -> VerificationReport:
+def check_eigen_span(samples: np.ndarray, w: PointSet, model: EllipticalModel, q_expected: int) -> VerificationReport:
     """Centered fixed points span leading eigendirections.
 
-    ``w`` is a fixed point of ``samples``, draws of ``model`` to which the
-    caller applied the orthogonal matrix ``rotation`` (if any), so the
-    model's eigendirections are the columns of ``rotation``.  The span's
-    rank is read off the singular values of the centered point matrix by
-    :func:`span_rank` and must equal ``q_expected`` exactly; its principal
-    angles against the top-q eigendirections must stay below 0.1.  Models
-    whose spectrum falls by less than 1e-3 of its top value after the q-th
-    value, and fixtures where a singular value sits near the rank cutoff,
-    are flagged indeterminate instead of failed.
+    ``w`` is a fixed point of ``samples``, draws of ``model``, whose
+    eigendirections are the coordinate axes.  The span's rank is read off
+    the singular values of the centered point matrix by :func:`span_rank`
+    and must equal ``q_expected`` exactly; its principal angles against the
+    top-q eigendirections must stay below 0.1.  Models whose spectrum falls
+    by less than 1e-3 of its top value after the q-th value, and fixtures
+    where a singular value sits near the rank cutoff, are flagged
+    indeterminate instead of failed.
     """
     samples = np.asarray(samples, dtype=float)
     p = {"model": model.label(), "n": samples.shape[0], "k": w.k, "q_expected": q_expected}
     if not _has_gap(model.lam, q_expected):
         return _finish("eigen_span", p, {}, {}, MONTE_CARLO, ("degenerate-spectrum",))
 
-    eigvecs = np.eye(model.d) if rotation is None else np.asarray(rotation, dtype=float)
     centered = w.points - samples.mean(axis=0)
     _, svals, vt = np.linalg.svd(centered)
     rank, ambiguous = span_rank(svals)
@@ -223,7 +218,7 @@ def check_eigen_span(
     if rank == 0 or flags:
         return _finish("eigen_span", p, {}, {}, MONTE_CARLO, tuple(flags) or ("zero-span",))
 
-    max_angle = float(principal_angles(vt[:rank].T, eigvecs[:, :rank]).max())
+    max_angle = float(principal_angles(vt[:rank].T, np.eye(model.d)[:, :rank]).max())
     residuals = {"max_angle": max_angle, "rank_deviation": float(abs(rank - q_expected))}
     tolerances = {"max_angle": 0.1, "rank_deviation": 0.0}
     return _finish("eigen_span", p, residuals, tolerances, MONTE_CARLO, ())

@@ -128,8 +128,6 @@ def _parse_scenario(task: str, cfg: dict, args) -> Scenario:
         raise ConfigError(f"config.task: config says {cfg_task!r} but the {task!r} command was invoked")
 
     seed, where = cfg.get("seed", 0), "config.seed"
-    if "seed" not in cfg and isinstance(cfg.get("model"), dict) and "seed" in cfg["model"]:
-        seed, where = cfg["model"]["seed"], "config.model.seed"
     if args.seed is not None:
         seed, where = args.seed, "--seed"
     seed = _numeric(seed, where, int, lambda v: v >= 0, "nonnegative integer")
@@ -213,10 +211,7 @@ def _run_simulate(scenario: Scenario) -> int:
 
 
 def _run_estimate(scenario: Scenario) -> int:
-    try:  # n and seed are checked already, so draws or second moments beyond float64 come from the model
-        est = estimate(sample(scenario.model, scenario.n, scenario.seed))
-    except UsageError as exc:
-        raise ConfigError(f"config.model: {exc}") from exc
+    est = estimate(sample(scenario.model, scenario.n, scenario.seed))
     path = scenario.out / "estimate.json"
     write_estimate_json(path, est)
     print(f"wrote {path}")
@@ -225,11 +220,8 @@ def _run_estimate(scenario: Scenario) -> int:
 
 def _run_kmeans(scenario: Scenario) -> int:
     draws = sample(scenario.model, scenario.n, scenario.seed)
-    try:  # the scenario's k, tol, restarts and jobs are checked already; only the model's scale is left
-        points, report = lloyd(draws, scenario.k, tol=scenario.tol, max_iter=scenario.max_iter,
-                               restarts=scenario.restarts, seed=scenario.seed, jobs=scenario.jobs)
-    except UsageError as exc:
-        raise ConfigError(f"config.model: {exc}") from exc
+    points, report = lloyd(draws, scenario.k, tol=scenario.tol, max_iter=scenario.max_iter,
+                           restarts=scenario.restarts, seed=scenario.seed, jobs=scenario.jobs)
     if not math.isfinite(report.self_consistency_residual):  # a domain stayed empty
         raise SingularityError(f"config.k: the draws have fewer than k={scenario.k} distinct rows")
     return _write_points(scenario, points, report.final_mse, report.self_consistency_residual,
@@ -237,11 +229,8 @@ def _run_kmeans(scenario: Scenario) -> int:
 
 
 def _run_closed_form(scenario: Scenario) -> int:
-    try:
-        points = closed_form_two_points(scenario.model)
-        g = g_constant(scenario.model)
-    except (DegenerateDirectionError, UsageError) as exc:  # both depend on the model alone
-        raise ConfigError(f"config.model: {exc}") from exc
+    points = closed_form_two_points(scenario.model)
+    g = g_constant(scenario.model)
     gamma = covariance_operator(scenario.model)
     mse = float(np.trace(gamma)) - (1.0 - g) * float(gamma[0, 0])
     return _write_points(scenario, points, mse, 0.0, f"analytic mse={mse:.6g}, g={g:.6g}")
@@ -381,10 +370,13 @@ def main(argv=None) -> int:
             scenario.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"config.out: cannot create {scenario.out} ({exc})") from exc
-        code = _RUNNERS[args.task](scenario)
-        manifest_cfg = dict(cfg)
-        manifest_cfg["seed"] = scenario.seed
-        _write_manifest(scenario, json.dumps(manifest_cfg, sort_keys=True))
+        try:  # every other scenario value is checked already, so a usage fault comes from the model
+            code = _RUNNERS[args.task](scenario)
+            _write_manifest(scenario, json.dumps({**cfg, "seed": scenario.seed}, sort_keys=True))
+        except (DegenerateDirectionError, UsageError) as exc:
+            raise ConfigError(f"config.model: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError(f"config.out: cannot write to {scenario.out} ({exc})") from exc
         return code
     except SingularityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,10 +27,6 @@ class CovarianceEstimate:
     eigvecs: np.ndarray
     n: int
 
-    def top_eigvecs(self, q: int) -> np.ndarray:
-        """Columns spanning the leading q-dimensional eigenspace."""
-        return self.eigvecs[:, :q]
-
 
 def estimate(samples: np.ndarray) -> CovarianceEstimate:
     """Moment estimates from an (n, d) coefficient matrix, which it consumes by centring it in place.
@@ -46,11 +42,12 @@ def estimate(samples: np.ndarray) -> CovarianceEstimate:
     n = samples.shape[0]
     if n < 2:
         raise InsufficientDataError(f"need at least 2 samples, got {n}")
-    if not np.isfinite(samples).all():
-        raise UsageError("samples must be finite; found NaN or infinite entries")
-    mean_hat = samples.mean(axis=0)
-    centered = np.subtract(samples, mean_hat, out=samples)
-    cov_hat = (centered.T @ centered) / n
+    with np.errstate(over="ignore", invalid="ignore"):  # the raises below say what went wrong
+        mean_hat = samples.mean(axis=0)  # not finite exactly when an entry is not, or a column sum overflows
+        if not np.isfinite(mean_hat).all() and not np.isfinite(samples).all():
+            raise UsageError("samples must be finite; found NaN or infinite entries")
+        centered = np.subtract(samples, mean_hat, out=samples)
+        cov_hat = (centered.T @ centered) / n
     if not np.isfinite(cov_hat).all():
         raise UsageError("the samples' second moments overflow float64")
     cov_hat = 0.5 * (cov_hat + cov_hat.T)
@@ -87,23 +84,16 @@ def principal_angles(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return angles
 
 
-def trace_tail(obj, from_index: int) -> float:
-    """Sum of eigenvalues with 1-based index >= ``from_index``.
+def trace_tail(model, from_index: int) -> float:
+    """Sum of the model's shape eigenvalues ``model.lam`` with 1-based index >= ``from_index``.
 
-    Accepts a model (its shape spectrum), a covariance estimate (its
-    eigenvalues) or a raw spectrum array.  ``from_index = d + 1`` gives 0:
-    the tail beyond the truncation level is zero by construction.
+    ``from_index = d + 1`` gives 0: the tail beyond the truncation level is
+    zero by construction.
     """
-    if hasattr(obj, "lam"):
-        spectrum = np.asarray(obj.lam, dtype=float)
-    elif hasattr(obj, "eigvals"):
-        spectrum = np.asarray(obj.eigvals, dtype=float)
-    else:
-        spectrum = np.asarray(obj, dtype=float)
-    d = spectrum.shape[0]
+    d = model.d
     if not 1 <= from_index <= d + 1:
         raise ShapeError(f"from_index must be in [1, {d + 1}], got {from_index}")
-    return float(spectrum[from_index - 1 :].sum())
+    return float(model.lam[from_index - 1 :].sum())
 
 
 def write_estimate_json(path, est: CovarianceEstimate) -> None:

@@ -14,12 +14,13 @@ Gaussian and Student components use closed-form antiderivatives instead of
 numeric quadrature, so the solver's cell means carry no integration error.
 Masses stay exact in both tails: a cell above the center takes its mass
 from the complementary CDF, so a far upper cell does not round to
-``1 - 1 = 0``.  The laws of one-dimensional projections of the elliptical
-models in this package are always of one of these forms: a finite mixture
-of centered normals (gaussian / two-point scale mixtures) or a scaled
-Student t.  The special functions they need are small ports here, so the
-laws use no part of scipy: the normal CDF from ``math.erfc`` and the
-Student t CDF from the continued fraction of the incomplete beta function.
+``1 - 1 = 0``.  The laws of one-dimensional projections of the centred
+elements ``X - mu`` of the elliptical models in this package are always
+of one of these forms, centred at 0: a finite mixture of normals
+(gaussian / two-point scale mixtures) or a scaled Student t.  The special
+functions they need are small ports here, so the laws use no part of
+scipy: the normal CDF from ``math.erfc`` and the Student t CDF from the
+continued fraction of the incomplete beta function.
 """
 
 from __future__ import annotations
@@ -204,47 +205,38 @@ class UnivariateLaw:
 
 @dataclass(frozen=True)
 class NormalMixtureLaw(UnivariateLaw):
-    """Finite mixture of normals sharing a common center.
+    """Finite mixture of normals centred at 0.
 
-    This is the law of ``loc + S * xi`` with xi standard normal and S a
-    positive random scale taking value ``scales[i]`` with probability
-    ``weights[i]``.
+    This is the law of ``S * xi`` with xi standard normal and S a positive
+    random scale taking value ``scales[i]`` with probability ``weights[i]``.
     """
 
     weights: tuple[float, ...]
     scales: tuple[float, ...]
-    loc: float = 0.0
+    mean = 0.0
 
     def __post_init__(self):
         w = tuple(float(x) for x in self.weights)
         s = tuple(float(x) for x in self.scales)
-        loc = float(self.loc)
         if len(w) != len(s) or not w:
             raise ConfigError("weights and scales must be non-empty and of equal length")
         if not all(0 <= x <= 1 for x in w) or abs(sum(w) - 1.0) > 1e-12:  # NaN fails every comparison
             raise ConfigError("weights must be nonnegative and sum to 1")
         if not all(0 < x < math.inf for x in s):
             raise ConfigError("component scales must be positive and finite")
-        if not math.isfinite(loc):
-            raise ConfigError(f"loc must be finite, got {loc}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "scales", s)
-        object.__setattr__(self, "loc", loc)
-
-    @property
-    def mean(self) -> float:
-        return self.loc
 
     @property
     def variance(self) -> float:
         return sum(w * s * s for w, s in zip(self.weights, self.scales))
 
     def pdf(self, y):
-        z = np.asarray(y, dtype=float) - self.loc
+        z = np.asarray(y, dtype=float)
         return sum(w * _gauss(z / s) / (_SQRT2PI * s) for w, s in zip(self.weights, self.scales))
 
     def cell_moments(self, a, b):
-        a, b = np.asarray(a, dtype=float) - self.loc, np.asarray(b, dtype=float) - self.loc
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         m0 = m1 = m2 = 0.0
         for w, s in zip(self.weights, self.scales):
             za, zb = a / s, b / s
@@ -257,38 +249,28 @@ class NormalMixtureLaw(UnivariateLaw):
     def scaled(self, rho: float) -> "NormalMixtureLaw":
         if rho == 0.0:
             raise UsageError("scale factor must be nonzero")
-        return NormalMixtureLaw(
-            weights=self.weights,
-            scales=tuple(abs(rho) * s for s in self.scales),
-            loc=rho * self.loc,
-        )
+        return NormalMixtureLaw(weights=self.weights, scales=tuple(abs(rho) * s for s in self.scales))
 
 
 @dataclass(frozen=True)
 class StudentTLaw(UnivariateLaw):
-    """Scaled and shifted Student t with ``nu > 2`` degrees of freedom.
+    """Student t centred at 0, scaled by ``scale``, with ``nu > 2`` degrees of freedom.
 
-    Equals the law of ``loc + scale * Z * xi`` for the inverse-chi scale
-    variable Z = sqrt(nu / chi2_nu) and independent standard normal xi.
-    Partial moments use the closed-form antiderivatives of y f(y) and
-    y^2 f(y) for the t density.
+    Equals the law of ``scale * Z * xi`` for the inverse-chi scale variable
+    Z = sqrt(nu / chi2_nu) and independent standard normal xi.  Partial
+    moments use the closed-form antiderivatives of y f(y) and y^2 f(y) for
+    the t density.
     """
 
     nu: float
     scale: float = 1.0
-    loc: float = 0.0
+    mean = 0.0
 
     def __post_init__(self):
         if not 2 < self.nu < math.inf:
             raise ConfigError(f"degrees of freedom must be finite and exceed 2, got {self.nu}")
         if not 0 < self.scale < math.inf:
             raise ConfigError(f"scale must be positive and finite, got {self.scale}")
-        if not math.isfinite(self.loc):
-            raise ConfigError(f"loc must be finite, got {self.loc}")
-
-    @property
-    def mean(self) -> float:
-        return self.loc
 
     @property
     def variance(self) -> float:
@@ -301,7 +283,7 @@ class StudentTLaw(UnivariateLaw):
         return np.exp(logc - 0.5 * (nu + 1) * np.log1p(np.square(x) / nu))
 
     def pdf(self, y):
-        return self._std_pdf((np.asarray(y, dtype=float) - self.loc) / self.scale) / self.scale
+        return self._std_pdf(np.asarray(y, dtype=float) / self.scale) / self.scale
 
     def _part(self, x, odd):
         """-(nu + x^2) f(x) / (nu - 1), the antiderivative of t f(t), or if ``odd`` x (nu + x^2) f(x) / (2 - nu),
@@ -319,9 +301,8 @@ class StudentTLaw(UnivariateLaw):
         return np.where(finite, np.where(far, lead * tail, lead * (nu + near * near) * pdf) / div, 0.0)
 
     def cell_moments(self, a, b):
-        nu, s, loc = self.nu, self.scale, self.loc
-        xa = (np.asarray(a, dtype=float) - loc) / s
-        xb = (np.asarray(b, dtype=float) - loc) / s
+        nu, s = self.nu, self.scale
+        xa, xb = np.asarray(a, dtype=float) / s, np.asarray(b, dtype=float) / s
         i0 = _cell_mass(lambda x: _stdtr(nu, x), xa, xb)
         i1 = self._part(xa, False) - self._part(xb, False)
         i2 = self._part(xb, True) - self._part(xa, True) - nu / (2.0 - nu) * i0
@@ -330,7 +311,7 @@ class StudentTLaw(UnivariateLaw):
     def scaled(self, rho: float) -> "StudentTLaw":
         if rho == 0.0:
             raise UsageError("scale factor must be nonzero")
-        return StudentTLaw(nu=self.nu, scale=abs(rho) * self.scale, loc=rho * self.loc)
+        return StudentTLaw(nu=self.nu, scale=abs(rho) * self.scale)
 
 
 @dataclass(frozen=True)

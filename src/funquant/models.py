@@ -257,9 +257,13 @@ def model_from_dict(payload: dict) -> EllipticalModel:
     """Build a model from the JSON model-spec schema, with path-anchored errors."""
     if not isinstance(payload, dict):
         raise ConfigError("model: expected an object")
-    for key in ("d", "mu", "lambda", "mixture"):
+    fields = ("d", "mu", "lambda", "mixture")
+    for key in fields:
         if key not in payload:
             raise ConfigError(f"model.{key}: missing required field")
+    for key in payload:
+        if key not in fields:
+            raise ConfigError(f"model.{key}: unknown field; a model has only d, mu, lambda and mixture")
     d = payload["d"]
     if type(d) is not int or d < 1:
         raise ConfigError(f"model.d: must be a positive integer, got {d!r}")

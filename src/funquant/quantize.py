@@ -250,9 +250,10 @@ def _kmeanspp_init(samples: np.ndarray, columns: np.ndarray, k: int, rng: np.ran
     d2, dist, term = np.full(n, np.inf), np.empty(n), np.empty(n)
     for _ in range(1, k):
         dist.fill(0.0)  # the last pick's squared distances, summed over the columns in coordinate order
-        for column, c in zip(columns, samples[chosen[-1]]):
-            dist += np.square(np.subtract(column, c, out=term), out=term)
-        total = np.minimum(d2, dist, out=d2).sum()
+        with np.errstate(over="ignore"):  # an overflow leaves ``total`` infinite, which raises below
+            for column, c in zip(columns, samples[chosen[-1]]):
+                dist += np.square(np.subtract(column, c, out=term), out=term)
+            total = np.minimum(d2, dist, out=d2).sum()
         if not np.isfinite(total):
             raise UsageError("the samples' squared distances overflow float64")
         # with every distance zero, the lowest row not yet chosen

@@ -17,17 +17,24 @@ def test_fourier_d1_is_constant_one():
     np.testing.assert_allclose(basis.to_curve([1.0]), np.ones(4))
 
 
+def trapezoid_gram(basis):
+    """The Gram matrix of the basis functions on the basis grid, by the trapezoid rule."""
+    phi = basis.design_matrix()
+    f = phi[:, :, None] * phi[:, None, :]
+    return (np.diff(basis.grid)[:, None, None] * (f[1:] + f[:-1])).sum(axis=0) / 2.0
+
+
 def test_fourier_gram_is_identity_on_512_grid():
     grid = np.linspace(0.0, 1.0, 512)
     basis = make_basis(family=FOURIER, dimension=3, grid=grid)
-    np.testing.assert_allclose(basis.gram(), np.eye(3), atol=1e-6)
+    np.testing.assert_allclose(trapezoid_gram(basis), np.eye(3), atol=1e-6)
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 8])
 def test_fourier_gram_identity_at_default_grid(d):
     basis = make_basis(family=FOURIER, dimension=d)
     assert basis.grid.size == 4 * d
-    np.testing.assert_allclose(basis.gram(), np.eye(d), atol=1e-6)
+    np.testing.assert_allclose(trapezoid_gram(basis), np.eye(d), atol=1e-6)
 
 
 @pytest.mark.parametrize("family", [FOURIER, SYNTHETIC])

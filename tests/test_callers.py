@@ -1,15 +1,20 @@
 """The funquant names that the demos and the benchmark depend on all resolve,
-and every name the package exports is read by some program.
+every name the package exports is read by some program, and so is every
+public method and property of an exported class.  The three quick demos run.
 
-Neither the demos nor ``bench/tracer.py`` run in this suite, so a deleted or
-renamed name they use would otherwise show only when they are run.  An
-export that only the tests read is a helper no caller needs.
+The slow demos and ``bench/tracer.py`` do not run in this suite, so a deleted
+or renamed name they use would otherwise show only when they are run.  An
+export or method that only the tests read is a helper no caller needs.
 """
 
 import ast
 import functools
 import importlib
 import importlib.util
+import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,9 +81,38 @@ def _reads(tree):
             yield node.value
 
 
-def test_every_export_is_read_by_a_program():
+def _exports():
     init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    exports = {alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return {alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+@functools.cache
+def _program_reads():
     programs = [*(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"), *SCRIPTS]
-    read = {name for p in programs for name in _reads(ast.parse(p.read_text(encoding="utf-8")))}
-    assert sorted(exports - read) == []
+    return {name for p in programs for name in _reads(ast.parse(p.read_text(encoding="utf-8")))}
+
+
+def test_every_export_is_read_by_a_program():
+    assert sorted(_exports() - _program_reads()) == []
+
+
+def test_every_public_method_of_an_exported_class_is_read_by_a_program():
+    funquant = importlib.import_module("funquant")
+    kinds = (property, classmethod, staticmethod)
+    members = {
+        f"{name}.{attr}"
+        for name in _exports() if inspect.isclass(cls := getattr(funquant, name))
+        for attr, value in vars(cls).items()
+        if not attr.startswith("_") and (inspect.isfunction(value) or isinstance(value, kinds))
+    }
+    assert sorted(m for m in members if m.split(".")[1] not in _program_reads()) == []
+
+
+@pytest.mark.parametrize("demo", ["01_simulate_random_functions.py", "02_covariance_eigenanalysis.py",
+                                  "05_conditional_structure.py"])
+def test_quick_demo_runs(tmp_path, demo):
+    # a demo can read a method through a local variable, which the name checks above cannot see
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -430,7 +430,19 @@ class TestSchemaErrors:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert "error: config.model: " in result.stderr
+        assert len(result.stderr.splitlines()) == 1  # the error line alone, with no numpy warning before it
         assert not (tmp_path / "o" / artifact).exists()
+
+    @pytest.mark.parametrize("blocked", ["pointset.json", "kmeans_manifest.json"])
+    def test_unwritable_artifact_exits_2_without_traceback(self, tmp_path, blocked):
+        out = tmp_path / "o"
+        (out / blocked).mkdir(parents=True)
+        cfg = write_config(tmp_path, {"model": MODEL, "task": "kmeans", "n": 50, "k": 2, "seed": 0})
+        result = run_cli("kmeans", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: config.out: cannot write to {out} (")
+        assert len(result.stderr.splitlines()) == 1
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):

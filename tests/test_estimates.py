@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -121,13 +122,11 @@ class TestTraceTail:
         assert trace_tail(model, 2) == pytest.approx(1.25)
         assert trace_tail(model, 4) == 0.0
 
-    def test_estimate_tail(self):
-        est = estimate(np.array([[0.0, 0.0], [2.0, 0.0]]))
-        assert trace_tail(est, 1) == pytest.approx(1.0)
-
     def test_out_of_range(self):
-        with pytest.raises(ShapeError):
-            trace_tail(np.array([1.0, 0.5]), 4)
+        model = EllipticalModel(mu=np.zeros(2), lam=np.array([1.0, 0.5]), mixture=ScaleMixture.gaussian())
+        for from_index in (0, 4):
+            with pytest.raises(ShapeError):
+                trace_tail(model, from_index)
 
 
 def test_estimate_json_round_trip(tmp_path):
@@ -165,7 +164,7 @@ def test_estimate_makes_no_copy_of_the_draws():
     finally:
         tracemalloc.stop()
     assert est.n == n
-    assert peak < 0.25 * n * d * 8  # on top of the draws: the (n, d) finiteness mask and (d, d) matrices
+    assert peak < 0.02 * n * d * 8  # on top of the draws: the (d,) mean and the (d, d) matrices
 
 
 def test_cli_estimate_holds_one_copy_of_the_draws(tmp_path):
@@ -244,3 +243,17 @@ class TestConsumedSamples:
         draws[::2, 0], draws[1::2, 0] = 1.5e153, -1.5e153  # finite draws whose Gram sum overflows
         with np.errstate(over="ignore"), pytest.raises(UsageError, match="overflow"):
             estimate(draws)
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [((np.nan, 1.0), "must be finite"), ((np.inf, -np.inf), "must be finite"),
+         ((1.7e308, 1.7e308), "second moments overflow")],  # the last: finite entries whose column sum overflows
+        ids=["nan", "inf-and-minus-inf", "sum-overflow"],
+    )
+    def test_a_non_finite_mean_raises_the_message_that_fits_without_a_warning(self, pair, message):
+        draws = np.ones((10, 2))
+        draws[:2, 1] = pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UsageError, match=message):
+                estimate(draws)
