@@ -285,4 +285,6 @@ SWEEP_DISTORTIONS = {
     "two-point-z20-p0.9": (0.5928058855151132, 0.20799417041359564, 0.10018692135772662, 0.033732981797499166, 0.01001934360041927),
     "two-point-z30-p0.05": (0.3916306045645736, 0.19022139472189403, 0.07999492855444326, 0.023459365521179547, 0.006305149596097082),
     "two-point-z50-p0.05": (0.3916131224126836, 0.19019108785657818, 0.0799604963409859, 0.023422820019687637, 0.006268625378911094),
+    "normal-sd0.7": (0.17805631153988505, 0.09318527923147162, 0.039171152273255794, 0.011239155923205556, 0.0030418170435950005),
+    "t5-scaled": (3.0641356927168855, 1.8286554933324966, 0.8902791356723081, 0.29762794042833457, 0.08888206103941713),
 }

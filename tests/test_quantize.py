@@ -225,6 +225,9 @@ SWEEP_LAWS = {
     },
     # symmetric laws whose k=2 optimum is not: the symmetric pair is a saddle
     **{f"two-point-z{z2:g}-p0.05": ScaleMixture.two_point(1.0, z2, 0.05).standardized_law() for z2 in (30.0, 50.0)},
+    # scaled laws: both distortions are taken on the law less its mean, so they hold wherever it sits
+    "normal-sd0.7": normal_law(sd=0.7),
+    "t5-scaled": StudentTLaw(nu=5.0, scale=2.0),
 }
 
 
